@@ -3,7 +3,8 @@
 Subcommands: kernels | green | perturb | mc | kato | report.  Every output
 file embeds the config hash and the toolkit version; rerunning a command
 with the same config and seed reproduces the numeric content byte for byte
-(single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error.
+(single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error;
+green, perturb and report refuse every model family but ``stable`` with 2.
 """
 
 from __future__ import annotations
@@ -85,13 +86,14 @@ def _csv_header(fh, digest: str, **extra) -> None:
         fh.write(f"# {k}={v}\n")
 
 
-def _green_for(cfg, model, domain, n_nodes):
-    if model.alpha is None:
-        raise ConfigError("Green-function commands need a stable-family model")
+def _green_for(model, domain, n_nodes):
+    try:
+        alpha = models.stable_index(model)
+    except ValueError as exc:
+        raise ConfigError(f"Green-function commands: {exc}") from exc
     if len(domain.intervals) == 1:
-        return green.stable_oracle(model.alpha, domain)
-    return green.numeric_table_green(model.alpha, domain,
-                                     nodes_per_component=max(n_nodes, 120))
+        return green.stable_oracle(alpha, domain)
+    return green.numeric_table_green(alpha, domain, nodes_per_component=max(n_nodes, 120))
 
 
 def cmd_kernels(cfg: dict, digest: str, out: Path, args) -> int:
@@ -116,8 +118,8 @@ def cmd_green(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
     n = args.grid or cfg.get("grid", {}).get("checker_grid", 100)
+    G = _green_for(model, domain, 160)
     table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
-    G = _green_for(cfg, model, domain, 160)
     seed = args.seed if args.seed is not None else cfg.get("mc", {}).get("seed", 0)
 
     records = []
@@ -150,7 +152,7 @@ def cmd_perturb(cfg: dict, digest: str, out: Path, args) -> int:
     domain = _parse_domain(cfg)
     drift = _parse_drift(cfg)
     n = args.grid or cfg.get("grid", {}).get("nodes_per_component", 200)
-    G = _green_for(cfg, model, domain, n)
+    G = _green_for(model, domain, n)
     grid = perturbation.build_grid(domain, n, model.alpha)
     pg = perturbation.solve_perturbed(G, drift, grid,
                                       mode=cfg.get("mode", "direct"))
@@ -235,11 +237,11 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
     n = args.grid or cfg.get("grid", {}).get("nodes_per_component", 160)
     lines: list[tuple[str, bool, str]] = []
 
+    G = _green_for(model, domain, n)
     table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
     inv = kernels.check_table_invariants(table)
     lines.append(("kernel invariants", inv["all_pass"], ""))
 
-    G = _green_for(cfg, model, domain, n)
     x0 = cfg.get("source", 0.5 * sum(domain.intervals[0]))
     mass = green.poisson_mass(G, x0)
     lines.append(("exit-density mass = 1 +- 1e-3", abs(mass - 1.0) <= 1e-3,
@@ -289,8 +291,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--grid", type=int, default=None, help="override the grid size")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; the implementation is single-threaded")
     args = parser.parse_args(argv)
 
     try:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["C11Set", "interval_union", "delta", "localization_radius", "validate"]
+__all__ = ["C11Set", "interval_union", "delta"]
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,3 @@ def delta(D: C11Set, x):
         out = np.where(inside, np.minimum(x - a, b - x), out)
     return out if out.ndim else float(out)
 
-
-def localization_radius(D: C11Set) -> float:
-    return D.r0
-
-
-def validate(D: C11Set) -> bool:
-    """Well-formedness check; construction already enforces it, kept as a predicate."""
-    try:
-        C11Set(D.intervals)
-    except ValueError:
-        return False
-    return True

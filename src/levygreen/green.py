@@ -40,6 +40,7 @@ __all__ = [
     "poisson_kernel",
     "poisson_mass",
     "complement_mass",
+    "exit_law_cdf",
     "exit_time_from_green",
     "check_poisson_envelope",
     "check_gradient_bound",
@@ -64,7 +65,6 @@ class GreenFunction:
     model: LevyModel
     value: Callable
     grad_x: Callable | None = None
-    alpha: float | None = None
 
 
 def stable_oracle(alpha: float, domain: C11Set) -> GreenFunction:
@@ -80,7 +80,7 @@ def stable_oracle(alpha: float, domain: C11Set) -> GreenFunction:
     def grad_x(x, y):
         return stable.grad_green_interval(alpha, iv, x, y)
 
-    return GreenFunction("stable-oracle", domain, stable_model(alpha), value, grad_x, alpha)
+    return GreenFunction("stable-oracle", domain, stable_model(alpha), value, grad_x)
 
 
 def green_envelope(D: C11Set, table: KernelTable, x, y):
@@ -101,8 +101,7 @@ def envelope_green(table: KernelTable, domain: C11Set) -> GreenFunction:
     def value(x, y):
         return green_envelope(domain, table, x, y)
 
-    return GreenFunction("envelope", domain, table.model, value, None,
-                         getattr(table.model, "alpha", None))
+    return GreenFunction("envelope", domain, table.model, value)
 
 
 def green_punctured_line(table: KernelTable, x, y):
@@ -126,16 +125,7 @@ def numeric_table_green(alpha: float, domain: C11Set, nodes_per_component: int =
     comps = domain.intervals
     if len(comps) == 1:
         return stable_oracle(alpha, domain)
-    grading = 2.0 / alpha
-    nodes, weights, comp_id = [], [], []
-    for ci, (a, b) in enumerate(comps):
-        zn, wn = mesh.graded_panels(a, b, nodes_per_component, grading, order)
-        nodes.append(zn)
-        weights.append(wn)
-        comp_id.append(np.full(zn.shape, ci, dtype=int))
-    z = np.concatenate(nodes)
-    w = np.concatenate(weights)
-    cid = np.concatenate(comp_id)
+    z, w, cid = mesh.graded_components(comps, nodes_per_component, 2.0 / alpha, order)
     n = len(z)
 
     P = np.zeros((n, n))
@@ -197,7 +187,7 @@ def numeric_table_green(alpha: float, domain: C11Set, nodes_per_component: int =
     def grad_x(x, y):
         return _evaluate(x, y, differentiate=True)
 
-    return GreenFunction("numeric-table", domain, stable_model(alpha), value, grad_x, alpha)
+    return GreenFunction("numeric-table", domain, stable_model(alpha), value, grad_x)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +232,7 @@ def poisson_kernel(G: GreenFunction, x: float, z, n_per_segment: int = 96):
 
 
 def complement_mass(D: C11Set, model: LevyModel, y: np.ndarray, gw: np.ndarray,
-                    alpha: float | None, far_factor: float = 50.0,
+                    far_factor: float = 50.0,
                     n_exterior: int = 192, layer_frac: float = 1e-4) -> float:
     """Mass over the complement of the exit density z -> sum_j nu(|z-y_j|) gw_j.
 
@@ -273,8 +263,8 @@ def complement_mass(D: C11Set, model: LevyModel, y: np.ndarray, gw: np.ndarray,
         total += float(density(zn) @ zw)
 
     # layer completion at each boundary point: P ~ d^(-p) (C0 + C1 d) below
-    # the cutoff, with p = alpha/2 known for the stable kinds and fitted
-    # from the resolved scales otherwise
+    # the cutoff, with p = alpha/2 for models that carry a stability index
+    # and fitted from the resolved scales otherwise
     edges = []
     for a, b in D.intervals:
         edges.append((a, -1.0))
@@ -284,8 +274,8 @@ def complement_mass(D: C11Set, model: LevyModel, y: np.ndarray, gw: np.ndarray,
         p2 = float(density(np.array([e + sgn * 2.0 * dcap]))[0])
         if p1 <= 0 or p2 <= 0:
             continue
-        if alpha is not None:
-            p = 0.5 * alpha
+        if model.alpha is not None:
+            p = 0.5 * model.alpha
             c0_plus = p1 * dcap ** p            # C0 + C1 dcap
             c01 = p2 * (2.0 * dcap) ** p        # C0 + 2 C1 dcap
             c1 = (c01 - c0_plus) / dcap
@@ -310,8 +300,7 @@ def poisson_mass(G: GreenFunction, x: float, far_factor: float = 50.0,
     """Total mass of the exit density over the complement of the domain."""
     y, w = _domain_nodes(G.domain, splits=(x,), n_per_segment=n_per_segment)
     gw = np.asarray(G.value(x, y), dtype=float) * w
-    return complement_mass(G.domain, G.model, y, gw, G.alpha,
-                           far_factor, n_exterior, layer_frac)
+    return complement_mass(G.domain, G.model, y, gw, far_factor, n_exterior, layer_frac)
 
 
 def exit_law_cdf(density: Callable, D: C11Set, far_factor: float = 200.0,
@@ -424,13 +413,9 @@ def check_poisson_envelope(G: GreenFunction, table: KernelTable, n_samples: int 
 
 def _graded_axis(D: C11Set, n: int, grading: float = 3.0) -> np.ndarray:
     """Deterministic evaluation grid clustered at every component endpoint."""
-    pts = []
     per = max(4, n // len(D.intervals))
     t = (np.arange(per) + 0.5) / per
-    u = t ** grading / (t ** grading + (1 - t) ** grading)
-    for a, b in D.intervals:
-        pts.append(a + (b - a) * u)
-    return np.concatenate(pts)
+    return np.concatenate([mesh.graded_breaks(a, b, t, grading) for a, b in D.intervals])
 
 
 def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200,

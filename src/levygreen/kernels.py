@@ -23,7 +23,7 @@ import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
-from .models import LevyModel
+from .models import LevyModel, _map_scalar
 
 __all__ = [
     "KernelQuadratureError",
@@ -31,7 +31,6 @@ __all__ = [
     "compute_V",
     "compute_K",
     "compute_dK",
-    "compute_M",
     "KernelTable",
     "build_table",
     "heat_kernel_envelope",
@@ -39,6 +38,7 @@ __all__ = [
 ]
 
 C_PSI_BRACKET = np.pi ** 2 / 2.0   # h(r) <= C * psi(1/r); the lower factor is 1/2
+_HEAD_SHELLS = 40                   # dyadic shells of (0, r) before the closing pass
 
 
 class KernelQuadratureError(RuntimeError):
@@ -73,17 +73,28 @@ def compute_h(model: LevyModel, r: float, tol: float = 1e-10) -> float:
 
     Both pieces are integrated over dyadic shells so that densities living
     on scales far from r (heavy tails, sharp cutoffs) cannot hide between
-    the sample points of a single adaptive pass.
+    the sample points of a single adaptive pass.  The head shells decay only
+    like 2^-(2-alpha) for a stable-like density, so after at most
+    ``_HEAD_SHELLS`` of them the rest of (0, r) is closed by one adaptive
+    pass, which absorbs the integrable power singularity at 0.
     """
     if r <= 0:
         raise ValueError("radius must be positive")
+
+    def head_density(x):
+        return x * x * model.nu(x)
+
     head = err = 0.0
-    for k in range(80):
-        piece, e = _quad(lambda x: x * x * model.nu(x), r * 0.5 ** (k + 1), r * 0.5 ** k, tol)
+    for k in range(_HEAD_SHELLS):
+        lo = r * 0.5 ** (k + 1)
+        piece, e = _quad(head_density, lo, r * 0.5 ** k, tol)
         head += piece
         err += e
         if head > 0.0 and piece <= 1e-15 * head and k >= 4:
             break
+    piece, e = _quad(head_density, 0.0, lo, tol)
+    head += piece
+    err += e
     tail = 0.0
     zero_run = 0
     for k in range(200):
@@ -104,20 +115,14 @@ def compute_h(model: LevyModel, r: float, tol: float = 1e-10) -> float:
 
 def compute_V(model: LevyModel, r) -> float:
     """Boundary scale function V = 1/sqrt(h), with V(0) = 0."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0):
+    if np.any(np.asarray(r) < 0):
         raise ValueError("radius must be nonnegative")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.array([0.0 if x == 0.0 else 1.0 / np.sqrt(compute_h(model, float(x))) for x in flat])
-    return out.reshape(arr.shape) if arr.shape else float(out[0])
+    return _map_scalar(lambda x: 0.0 if x == 0.0 else 1.0 / np.sqrt(compute_h(model, x)), r)
 
 
 def compute_K(model: LevyModel, x, tol: float = 1e-10) -> float:
     """Compensated potential kernel by oscillatory quadrature; K(0) = 0, even."""
-    arr = np.asarray(x, dtype=float)
-    flat = np.atleast_1d(arr).ravel()
-    out = np.array([_K_scalar(model, float(t), tol) for t in flat])
-    return out.reshape(arr.shape) if arr.shape else float(out[0])
+    return _map_scalar(lambda t: _K_scalar(model, t, tol), x)
 
 
 def _K_scalar(model: LevyModel, x: float, tol: float) -> float:
@@ -146,12 +151,9 @@ def _K_scalar(model: LevyModel, x: float, tol: float) -> float:
 
 def compute_dK(model: LevyModel, x, tol: float = 1e-10) -> float:
     """Derivative of the compensated kernel: odd, positive on the right half line."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr == 0.0):
+    if np.any(np.asarray(x) == 0.0):
         raise ValueError("derivative of the compensated kernel is undefined at 0")
-    flat = np.atleast_1d(arr).ravel()
-    out = np.array([np.sign(t) * _dK_scalar(model, abs(float(t)), tol) for t in flat])
-    return out.reshape(arr.shape) if arr.shape else float(out[0])
+    return _map_scalar(lambda t: np.sign(t) * _dK_scalar(model, abs(t), tol), x)
 
 
 def _dK_scalar(model: LevyModel, x: float, tol: float) -> float:
@@ -170,11 +172,6 @@ def _dK_scalar(model: LevyModel, x: float, tol: float) -> float:
         raise KernelQuadratureError(
             f"oscillatory tail reached only {err:.2e} absolute at x={x}")
     return val
-
-
-def compute_M(table: "KernelTable", r) -> float:
-    """Gradient-scale kernel M = V^2 / r^2, decreasing and blowing up at 0."""
-    return table.M_at(r)
 
 
 class KernelTable:

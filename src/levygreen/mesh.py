@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["graded_panels", "panel_rule"]
+__all__ = ["graded_breaks", "graded_panels", "graded_components", "panel_rule"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -21,6 +21,12 @@ def panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(order)
         _GL_CACHE[order] = (0.5 * (x + 1.0), 0.5 * w)   # nodes/weights on (0, 1)
     return _GL_CACHE[order]
+
+
+def graded_breaks(a: float, b: float, t, grading: float) -> np.ndarray:
+    """Image of t in [0, 1] under the symmetric grading map onto [a, b]."""
+    tq, cq = t ** grading, (1.0 - t) ** grading
+    return a + (b - a) * tq / (tq + cq)
 
 
 def graded_panels(a: float, b: float, n_nodes: int, grading: float = 2.0,
@@ -35,14 +41,24 @@ def graded_panels(a: float, b: float, n_nodes: int, grading: float = 2.0,
     if grading < 1.0:
         raise ValueError("grading exponent must be >= 1")
     n_panels = max(2, int(np.ceil(n_nodes / order)))
-    t = np.linspace(0.0, 1.0, n_panels + 1)
-    tq, cq = t ** grading, (1.0 - t) ** grading
-    breaks = a + (b - a) * tq / (tq + cq)
+    breaks = graded_breaks(a, b, np.linspace(0.0, 1.0, n_panels + 1), grading)
     xr, wr = panel_rule(order)
     left, width = breaks[:-1], np.diff(breaks)
     nodes = (left[:, None] + width[:, None] * xr[None, :]).ravel()
     weights = (width[:, None] * wr[None, :]).ravel()
     return nodes, weights
+
+
+def graded_components(intervals, n_per_component: int, grading: float,
+                      order: int = 6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Graded panels on each interval of a union, concatenated in order.
+
+    Returns nodes, weights and the index of the interval each node lies in.
+    """
+    parts = [graded_panels(a, b, n_per_component, grading, order) for a, b in intervals]
+    comp_id = [np.full(zn.shape, ci, dtype=int) for ci, (zn, _) in enumerate(parts)]
+    return (np.concatenate([zn for zn, _ in parts]), np.concatenate([wn for _, wn in parts]),
+            np.concatenate(comp_id))
 
 
 def power_panels(a: float, b: float, exponent: float, n_nodes: int, order: int = 8,

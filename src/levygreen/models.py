@@ -31,6 +31,7 @@ __all__ = [
     "truncated_stable_model",
     "custom_model",
     "model_from_config",
+    "stable_index",
     "eval_psi",
     "eval_nu",
     "psi_from_nu",
@@ -48,7 +49,7 @@ class LevyModel:
     family: str                       # stable | stable-mixture | truncated-stable | custom
     psi: Callable[[np.ndarray], np.ndarray]
     nu: Callable[[np.ndarray], np.ndarray]
-    alpha: float | None = None        # stability index for family == "stable"
+    alpha: float | None = None        # the family's stability index; only "stable" has closed forms
     params: tuple = ()                # hashable family parameters, for caching and reports
 
     def key(self) -> tuple:
@@ -123,10 +124,7 @@ def truncated_stable_model(alpha: float, radius: float) -> LevyModel:
         return np.where(r <= radius, c * r ** (-1.0 - alpha), 0.0)
 
     def psi(xi):
-        arr = np.abs(np.asarray(xi, dtype=float))
-        flat = np.atleast_1d(arr).ravel()
-        out = np.array([_psi_truncated_scalar(alpha, c, radius, float(x)) for x in flat])
-        return out.reshape(arr.shape) if arr.shape else float(out[0])
+        return _map_scalar(lambda x: _psi_truncated_scalar(alpha, c, radius, abs(x)), xi)
 
     return LevyModel("truncated-stable", psi, nu, alpha=alpha,
                      params=(("alpha", alpha), ("radius", float(radius))))
@@ -145,12 +143,8 @@ def _psi_truncated_scalar(alpha: float, c: float, radius: float, x: float) -> fl
 def custom_model(nu: Callable, psi: Callable | None = None, name: str = "custom") -> LevyModel:
     """Model from a user jump density; the symbol defaults to quadrature of nu."""
     if psi is None:
-        def quad_psi(xi):
-            arr = np.asarray(xi, dtype=float)
-            flat = np.atleast_1d(arr).ravel()
-            out = np.array([_psi_by_quadrature(nu, float(t)) for t in flat])
-            return out.reshape(arr.shape) if arr.shape else float(out[0])
-        psi = quad_psi
+        def psi(xi):
+            return _map_scalar(lambda t: _psi_by_quadrature(nu, t), xi)
     return LevyModel("custom", psi, nu, params=(("name", name),))
 
 
@@ -164,6 +158,25 @@ def model_from_config(cfg: dict) -> LevyModel:
     if family == "truncated-stable":
         return truncated_stable_model(float(cfg["alpha"]), float(cfg["truncation_radius"]))
     raise ValueError(f"unknown model family: {family!r}")
+
+
+def stable_index(model: LevyModel) -> float:
+    """Stability index of a model whose Green and kernel closed forms exist.
+
+    Only the ``stable`` family has them.  Every other family is refused,
+    including truncated-stable, which carries an index of its own.
+    """
+    if model.family != "stable":
+        raise ValueError(f"closed forms exist only for the stable family, "
+                         f"not for {model.family!r}")
+    return model.alpha
+
+
+def _map_scalar(fn: Callable[[float], float], x):
+    """Apply a scalar evaluator elementwise; a scalar argument gives a float."""
+    arr = np.asarray(x, dtype=float)
+    out = np.array([fn(float(t)) for t in np.atleast_1d(arr).ravel()])
+    return out.reshape(arr.shape) if arr.shape else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +225,7 @@ def _psi_by_quadrature(nu: Callable, x: float) -> float:
 
 def psi_from_nu(model: LevyModel, xi) -> float:
     """Quadrature evaluation of the symbol from the jump density (cross-check path)."""
-    arr = np.asarray(xi, dtype=float)
-    flat = np.atleast_1d(arr).ravel()
-    out = np.array([_psi_by_quadrature(model.nu, float(t)) for t in flat])
-    return out.reshape(arr.shape) if arr.shape else float(out[0])
+    return _map_scalar(lambda t: _psi_by_quadrature(model.nu, t), xi)
 
 
 # ---------------------------------------------------------------------------

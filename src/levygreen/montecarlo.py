@@ -26,7 +26,7 @@ import numpy as np
 from scipy import integrate
 
 from .geometry import C11Set, delta
-from .models import LevyModel
+from .models import LevyModel, stable_index
 
 __all__ = [
     "PathConfig",
@@ -138,8 +138,11 @@ def sample_stable_increment(alpha: float, dt, rng: np.random.Generator,
 
 def _jump_sampler(model: LevyModel, cutoff: float | None):
     """Per-step displacement sampler of the driftless noise, dt vectorized."""
-    if model.family in ("stable",) and model.alpha is not None:
-        alpha = model.alpha
+    try:
+        alpha = stable_index(model)
+    except ValueError:
+        pass    # no exact increments: approximate route below
+    else:
         return (lambda rng, dt, size: sample_stable_increment(alpha, dt, rng, size)), False
     # approximate route: compound-Poisson above the cutoff, Gaussian below
     eps = cutoff if cutoff is not None else 1e-2

@@ -30,7 +30,7 @@ from scipy.linalg import lu_factor, lu_solve
 from . import mesh, stable
 from .geometry import C11Set
 from .green import GreenFunction, complement_mass
-from .kernels import KernelTable
+from .models import stable_index
 
 __all__ = [
     "NystromGrid",
@@ -50,9 +50,8 @@ __all__ = [
 class NystromGrid:
     """Quadrature nodes strictly inside the domain, graded at component ends.
 
-    The grading exponent defaults to 2/alpha so that the boundary factor
-    V(delta) ~ delta^(alpha/2) is resolved with uniform relative accuracy.
-    Weights are positive and sum to the total length of the domain.
+    :func:`build_grid` grades with max(2, 2/alpha), which is 2 for every
+    alpha in (1, 2).  Weights are positive and sum to the total length of the domain.
     """
 
     domain: C11Set
@@ -68,23 +67,11 @@ class NystromGrid:
 
 def build_grid(domain: C11Set, n_per_component: int = 200, alpha: float = 1.5,
                order: int = 6) -> NystromGrid:
-    nodes, weights, comp = [], [], []
     # at least the exponent that resolves the boundary factor V(delta), and
     # never below 2, which the quadrature error at the diagonal kink needs
     grading = max(2.0, 2.0 / alpha)
-    for ci, (a, b) in enumerate(domain.intervals):
-        zn, wn = mesh.graded_panels(a, b, n_per_component, grading, order)
-        nodes.append(zn)
-        weights.append(wn)
-        comp.append(np.full(zn.shape, ci, dtype=int))
-    return NystromGrid(domain, np.concatenate(nodes), np.concatenate(weights),
-                       np.concatenate(comp), grading)
-
-
-def _kernel_at_one(G: GreenFunction) -> float:
-    if G.alpha is None:
-        raise ValueError("the singular correction needs the stability index of the model")
-    return stable.kernel_at_one(G.alpha)
+    return NystromGrid(domain, *mesh.graded_components(domain.intervals, n_per_component,
+                                                       grading, order), grading)
 
 
 def discretize_green(G: GreenFunction, grid: NystromGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +94,8 @@ def discretize_green(G: GreenFunction, grid: NystromGrid) -> tuple[np.ndarray, n
     dG[off] = np.asarray(G.grad_x(Zi[off], Zj[off]), dtype=float)
 
     # bounded remainder dG(z, y) + dK(z - y) at z = y, from adjacent nodes
-    alpha = G.alpha
-    c_s = (alpha - 1.0) * _kernel_at_one(G)
+    alpha = stable_index(G.model)
+    c_s = (alpha - 1.0) * stable.kernel_at_one(alpha)
     for k in range(n):
         vals = []
         for j in (k - 1, k + 1):
@@ -124,9 +111,9 @@ def _operator(G: GreenFunction, b: Callable, grid: NystromGrid,
     """Weighted interaction operator B with singularity-corrected diagonal."""
     z, w, cid = grid.nodes, grid.weights, grid.comp_id
     n = grid.n
-    alpha = G.alpha
-    c_s = (alpha - 1.0) * _kernel_at_one(G)
-    K1 = _kernel_at_one(G)
+    alpha = stable_index(G.model)
+    K1 = stable.kernel_at_one(alpha)
+    c_s = (alpha - 1.0) * K1
     bz = np.asarray(b(z), dtype=float)
 
     B = w[:, None] * bz[:, None] * dG
@@ -301,5 +288,4 @@ def perturbed_poisson(pg: PerturbedGreen, x: float, z):
 
 def perturbed_poisson_mass(pg: PerturbedGreen, x: float) -> float:
     gw = pg.row(x) * pg.grid.weights
-    return complement_mass(pg.grid.domain, pg.green.model, pg.grid.nodes, gw,
-                           pg.green.alpha)
+    return complement_mass(pg.grid.domain, pg.green.model, pg.grid.nodes, gw)

@@ -90,6 +90,16 @@ def _incomplete_factor(alpha: float, w):
     return w ** a / a * hyp2f1(0.5, a, a + 1.0, -w)
 
 
+def _to_unit(interval, x, y):
+    """Affine reduction of an interval to (-1, 1): broadcast (u, v) and the half-length."""
+    a, b = float(interval[0]), float(interval[1])
+    center, radius = 0.5 * (a + b), 0.5 * (b - a)
+    u = (np.asarray(x, dtype=float) - center) / radius
+    v = (np.asarray(y, dtype=float) - center) / radius
+    u, v = np.broadcast_arrays(u, v)
+    return u, v, radius
+
+
 def green_interval(alpha: float, interval, x, y):
     """Green function of the stable process killed off an open interval.
 
@@ -98,11 +108,7 @@ def green_interval(alpha: float, interval, x, y):
     limit ``2 B (1-u^2)^(alpha-1) / (alpha-1)`` on the unit interval.
     """
     _check_alpha(alpha)
-    a, b = float(interval[0]), float(interval[1])
-    center, radius = 0.5 * (a + b), 0.5 * (b - a)
-    u = (np.asarray(x, dtype=float) - center) / radius
-    v = (np.asarray(y, dtype=float) - center) / radius
-    u, v = np.broadcast_arrays(u, v)
+    u, v, radius = _to_unit(interval, x, y)
     inside = (np.abs(u) < 1.0) & (np.abs(v) < 1.0)
     diag = inside & (u == v)
     off = inside & ~diag
@@ -126,14 +132,10 @@ def grad_green_interval(alpha: float, interval, x, y):
     simplifies against ``(1+w)^(-1/2) = |u-v| / (1-uv)`` on the unit interval.
     """
     _check_alpha(alpha)
-    a, b = float(interval[0]), float(interval[1])
-    center, radius = 0.5 * (a + b), 0.5 * (b - a)
-    u = (np.asarray(x, dtype=float) - center) / radius
-    v = (np.asarray(y, dtype=float) - center) / radius
-    u, v = np.broadcast_arrays(u, v)
-    if np.any((np.abs(u) < 1.0) & (np.abs(v) < 1.0) & (u == v)):
-        raise ValueError("gradient of the Green function is not defined on the diagonal")
+    u, v, radius = _to_unit(interval, x, y)
     inside = (np.abs(u) < 1.0) & (np.abs(v) < 1.0)
+    if np.any(inside & (u == v)):
+        raise ValueError("gradient of the Green function is not defined on the diagonal")
 
     out = np.zeros(u.shape, dtype=float)
     if np.any(inside):
@@ -154,11 +156,7 @@ def poisson_interval(alpha: float, interval, x, z):
     does not hit the two boundary points at its first exit.
     """
     _check_alpha(alpha)
-    a, b = float(interval[0]), float(interval[1])
-    center, radius = 0.5 * (a + b), 0.5 * (b - a)
-    u = (np.asarray(x, dtype=float) - center) / radius
-    v = (np.asarray(z, dtype=float) - center) / radius
-    u, v = np.broadcast_arrays(u, v)
+    u, v, radius = _to_unit(interval, x, z)
     ok = (np.abs(u) < 1.0) & (np.abs(v) > 1.0)
     out = np.zeros(u.shape, dtype=float)
     if np.any(ok):
@@ -174,11 +172,7 @@ def poisson_interval(alpha: float, interval, x, z):
 def grad_poisson_interval(alpha: float, interval, x, z):
     """x-derivative of the interval exit density, used by multi-interval solvers."""
     _check_alpha(alpha)
-    a, b = float(interval[0]), float(interval[1])
-    center, radius = 0.5 * (a + b), 0.5 * (b - a)
-    u = (np.asarray(x, dtype=float) - center) / radius
-    v = (np.asarray(z, dtype=float) - center) / radius
-    u, v = np.broadcast_arrays(u, v)
+    u, v, radius = _to_unit(interval, x, z)
     ok = (np.abs(u) < 1.0) & (np.abs(v) > 1.0)
     out = np.zeros(u.shape, dtype=float)
     if np.any(ok):

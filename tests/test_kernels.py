@@ -14,6 +14,16 @@ def test_h_closed_form():
         assert kernels.compute_h(m, r) == pytest.approx(A * r ** -ALPHA, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 1.9])
+def test_h_closed_form_down_to_the_head_tail(alpha):
+    # the head shells decay slowly for alpha near 2; the part of (0, r) they
+    # leave over must still be integrated
+    m = models.stable_model(alpha)
+    for r in np.geomspace(1e-6, 1e2, 9):
+        want = stable.h_constant(alpha) * r ** -alpha
+        assert kernels.compute_h(m, float(r)) == pytest.approx(want, rel=1e-12)
+
+
 def test_h_dilation_bracket():
     m = models.stable_model(ALPHA)
     for r in (0.1, 1.0, 10.0):
