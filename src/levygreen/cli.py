@@ -185,7 +185,10 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
         dt=mcc.get("dt", 1e-3), n_paths=mcc.get("paths", 10_000), seed=seed,
         bin_width=mcc.get("bin_width", 0.05))
     x0 = cfg.get("source", 0.5 * sum(domain.intervals[0]))
-    bins, val, se, sample = mc_mod.mc_green(model, drift, domain, x0, config)
+    try:
+        bins, val, se, sample = mc_mod.mc_green(model, drift, domain, x0, config)
+    except FloatingPointError as exc:
+        raise ConfigError(f"drift {drift.label}: {exc}") from exc
     tau_mean = float(np.mean(sample.tau))
     tau_se = float(np.std(sample.tau, ddof=1) / np.sqrt(sample.n_paths))
     with open(out / "mc_green.csv", "w") as fh:
@@ -207,6 +210,7 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
             fh.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}\n")
     _write_json(out / "mc_estimates.json",
                 {**_meta(digest, seed=seed, dt=config.dt, paths=config.n_paths),
+                 "engine": sample.engine,
                  "mean_exit_time": {"value": tau_mean, "se": tau_se},
                  "censored": sample.censored,
                  "occupation_total": float(np.sum(val * bins.widths))})

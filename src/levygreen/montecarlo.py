@@ -1,20 +1,32 @@
 """Path simulation of the drift-perturbed process and occupation estimators.
 
-The driving noise over one time step is an exact stable increment (the
-Chambers-Mallows-Stuck transform of a uniform and an exponential variate),
-so with zero drift the discrete chain is the true process observed on a time
-grid; the only Euler error is first-order splitting of the drift substep and
-post-step exit detection.  Exit happens by a macroscopic jump, which makes
-post-step detection reliable; the residual time-discretization bias is
-quantified by step-halving rather than modeled.
+``simulate_exit`` has two engines and picks one by a fixed rule, with no
+option to choose:
+
+* **Walk on spheres** when the drift is identically zero, the model is
+  stable (``models.stable_index`` succeeds) and ``time_cap`` is None.  Each
+  path jumps from ball to ball by the exact centred exit law of the stable
+  process until it lands outside the domain, so exit positions are exact,
+  and each ball adds its closed-form expected exit time and bin occupation.
+  The recorded ``tau`` of a path is therefore its conditional mean exit
+  time given the walk: the mean over paths is unbiased, but the spread of
+  ``tau`` is not the spread of exit times.  ``dt``, ``ref_frac`` and
+  ``floor_frac`` are unused on this route, and nothing is censored.
+* **Euler stepping** for every other input: a drift substep, then an exact
+  stable increment over the step (the Chambers-Mallows-Stuck transform of
+  a uniform and an exponential variate).  With zero drift the discrete
+  chain is the true process observed on a time grid; otherwise the only
+  Euler error is first-order splitting of the drift substep and post-step
+  exit detection.  Exit happens by a macroscopic jump, which makes
+  post-step detection reliable; the residual time-discretization bias is
+  quantified by step-halving rather than modeled.  Non-stable unimodal
+  models are simulated approximately: compound-Poisson jumps above a
+  cutoff plus Gaussian compensation of the small jumps.
 
 Estimators: mean exit time, occupation-density histograms (the Monte Carlo
 Green function), and the exit law with a Kolmogorov-Smirnov distance against
-a quadrature exit density.  Everything is chunked with split seeds, so runs
-are reproducible bit for bit for a fixed seed and chunk size.
-
-Non-stable unimodal models are simulated approximately: compound-Poisson
-jumps above a cutoff plus Gaussian compensation of the small jumps.
+a quadrature exit density.  Both engines are chunked with split seeds, so
+runs are reproducible bit for bit for a fixed seed and chunk size.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
+from . import stable
 from .geometry import C11Set, delta
 from .models import LevyModel, stable_index
 
@@ -52,7 +65,8 @@ class PathConfig:
     fraction of the boundary distance, which is what makes exit positions
     and exit times accurate: the exit law has a fat boundary layer that
     fixed steps smear at an unacceptable rate.  Near-boundary occupancy is
-    thin, so the extra cost is a small constant factor.
+    thin, so the extra cost is a small constant factor.  The step controls
+    (dt, ref_frac, floor_frac, time_cap) act on the Euler engine only.
     """
 
     dt: float
@@ -174,7 +188,7 @@ def _jump_sampler(model: LevyModel, cutoff: float | None):
 
 @dataclass(frozen=True)
 class ExitSample:
-    tau: np.ndarray
+    tau: np.ndarray                 # per path: exit time (Euler), E[tau | walk] (walk on spheres)
     exit_pos: np.ndarray
     occupation: np.ndarray          # per-bin total time
     occupation_sq: np.ndarray       # per-bin sum of squared per-path times
@@ -183,18 +197,70 @@ class ExitSample:
     censored: int
     approximate_noise: bool
     config: PathConfig
+    engine: str                     # "euler" or "walk-on-spheres"
 
 
 def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
                   config: PathConfig, track_occupation: bool = True) -> ExitSample:
+    """Simulate exit paths from x0, by walk on spheres where it is exact.
+
+    The driftless stable process without a time cap takes the walk on
+    spheres; every other input (a drift, a non-stable model, a time cap)
+    takes the boundary-adaptive Euler loop.
+    """
+    if not D.contains(x0):
+        raise ValueError("starting point must lie inside the domain")
+    if config.time_cap is None and _is_zero_drift(b):
+        try:
+            alpha = stable_index(model)
+        except ValueError:
+            pass        # no closed-form ball laws: Euler below
+        else:
+            return _walk_on_spheres(alpha, D, x0, config, track_occupation)
+    return _euler_exit(model, b, D, x0, config, track_occupation)
+
+
+def _is_zero_drift(b: Callable) -> bool:
+    return getattr(b, "family", "") == "constant" and \
+        not np.any(np.asarray(b(np.zeros(1)), dtype=float))
+
+
+def _run_chunks(config: PathConfig, n_bins: int, track_occupation: bool, walk_chunk):
+    """Chunked driver shared by both engines: split seeds, per-path arrays, bin sums.
+
+    ``walk_chunk(m, rng, occ_chunk)`` simulates m paths, adds their per-bin
+    times to occ_chunk (None when occupation is not tracked) and returns
+    (tau, exit_pos, censored) of the chunk.
+    """
+    n_total = config.n_paths
+    tau = np.empty(n_total)
+    exit_pos = np.empty(n_total)
+    occ = np.zeros(n_bins)
+    occ_sq = np.zeros(n_bins)
+    censored = 0
+    chunks = np.array_split(np.arange(n_total), max(1, n_total // config.chunk))
+    seeds = np.random.SeedSequence(config.seed).spawn(len(chunks))
+    for chunk_idx, seed in zip(chunks, seeds):
+        m = len(chunk_idx)
+        occ_chunk = np.zeros((m, n_bins)) if track_occupation else None
+        ctau, cpos, ccens = walk_chunk(m, np.random.default_rng(seed), occ_chunk)
+        tau[chunk_idx] = ctau
+        exit_pos[chunk_idx] = cpos
+        censored += ccens
+        if track_occupation:
+            occ += occ_chunk.sum(axis=0)
+            occ_sq += (occ_chunk ** 2).sum(axis=0)
+    return tau, exit_pos, occ, occ_sq, censored
+
+
+def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
+                config: PathConfig, track_occupation: bool = True) -> ExitSample:
     """Drift substep then exact jump, with boundary-adaptive step sizes.
 
     Exit is declared at the first post-step position outside the domain;
     because steps shrink with the boundary distance, the recorded position
     and time carry only a relative-in-scale discretization error.
     """
-    if not D.contains(x0):
-        raise ValueError("starting point must lie inside the domain")
     bins = make_bins(D, config.bin_width)
     draw, approx = _jump_sampler(model, config.small_jump_cutoff)
     alpha_eff = model.alpha if model.alpha is not None else 1.5
@@ -204,44 +270,28 @@ def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     d_ref = config.ref_frac * D.r0
     d_floor = config.floor_frac * D.r0
 
-    n_total = config.n_paths
-    tau = np.empty(n_total)
-    exit_pos = np.empty(n_total)
-    occ = np.zeros(bins.n_bins)
-    occ_sq = np.zeros(bins.n_bins)
-    censored = 0
-    drift_free = getattr(b, "family", "") == "constant" and \
-        not np.any(np.asarray(b(np.zeros(1)), dtype=float))
-
-    chunks = np.array_split(np.arange(n_total), max(1, n_total // config.chunk))
-    seeds = np.random.SeedSequence(config.seed).spawn(len(chunks))
-    for chunk_idx, seed in zip(chunks, seeds):
-        m = len(chunk_idx)
-        rng = np.random.default_rng(seed)
+    def walk_chunk(m, rng, occ_chunk):
+        censored = 0
         x = np.full(m, float(x0))
         alive = np.arange(m)
         t_acc = np.zeros(m)
-        occ_chunk = np.zeros((m, bins.n_bins)) if track_occupation else None
         ctau = np.empty(m)
         cpos = np.empty(m)
         while len(alive):
             dist = np.asarray(delta(D, x), dtype=float)
             dtv = config.dt * np.minimum(
                 np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha_eff
-            if track_occupation:
+            if occ_chunk is not None:
                 # trapezoidal attribution in time: half the step at its start,
                 # half at its end if the path is still inside
                 occ_chunk[alive, bins.index(x)] += 0.5 * dtv
-            if drift_free:
-                x_new = x + draw(rng, dtv, len(alive))
-            else:
-                bx = np.asarray(b(x), dtype=float)
-                if not np.all(np.isfinite(bx)):
-                    raise FloatingPointError("drift evaluated to a non-finite value on a path")
-                x_new = x + bx * dtv + draw(rng, dtv, len(alive))
+            bx = np.asarray(b(x), dtype=float)
+            if not np.all(np.isfinite(bx)):
+                raise FloatingPointError("drift evaluated to a non-finite value on a path")
+            x_new = x + bx * dtv + draw(rng, dtv, len(alive))
             t_acc[alive] += dtv
             out = ~D.contains(x_new)
-            if track_occupation and np.any(~out):
+            if occ_chunk is not None and np.any(~out):
                 occ_chunk[alive[~out], bins.index(x_new[~out])] += 0.5 * dtv[~out]
             hit_cap = t_acc[alive] >= cap_time
             finish = out | hit_cap
@@ -253,21 +303,95 @@ def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
             keep = ~finish
             alive = alive[keep]
             x = x_new[keep]
-        tau[chunk_idx] = ctau
-        exit_pos[chunk_idx] = cpos
-        if track_occupation:
-            occ += occ_chunk.sum(axis=0)
-            occ_sq += (occ_chunk ** 2).sum(axis=0)
-    return ExitSample(tau, exit_pos, occ, occ_sq,
-                      bins, n_total, censored, approx, config)
+        return ctau, cpos, censored
+
+    tau, exit_pos, occ, occ_sq, censored = _run_chunks(
+        config, bins.n_bins, track_occupation, walk_chunk)
+    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, censored,
+                      approx, config, "euler")
+
+
+_MAX_SWEEPS = 10_000     # a walk still inside after this many balls is an error
+
+
+def _walk_on_spheres(alpha: float, D: C11Set, x0: float, config: PathConfig,
+                     track_occupation: bool = True) -> ExitSample:
+    """Exact walk on spheres for the driftless stable process.
+
+    Kyprianou, Osojnik and Shardlow (IMA J. Numer. Anal. 2018): from x, take
+    the largest interval centred at x inside D, of radius r = delta(D, x),
+    and jump to its exit point x +- r / sqrt(Q), Q ~ Beta(alpha/2, 1 - alpha/2)
+    (the centred exit law ``stable.poisson_interval``).  A walk ends at its
+    first landing point outside D, which is an exact exit position.  Each
+    ball adds its expected exit time c r^alpha to tau and its expected bin
+    occupations r^alpha [Phi((hi - x)/r) - Phi((lo - x)/r)] to the bins, Phi
+    being ``stable.center_occupation``.  So tau holds per-path conditional
+    means E[tau | walk]: their mean is unbiased, their spread is smaller
+    than the spread of exit times.  There is no time step and no censoring.
+    """
+    bins = make_bins(D, config.bin_width)
+    c = stable.exit_time_constant(alpha)
+    a = 0.5 * alpha
+    ends = np.array(D.intervals)
+
+    def walk_chunk(m, rng, occ_chunk):
+        x = np.full(m, float(x0))
+        alive = np.arange(m)
+        t_acc = np.zeros(m)
+        cpos = np.empty(m)
+        for _ in range(_MAX_SWEEPS):
+            lo, hi = ends[D.component_index(x)].T
+            r = np.minimum(x - lo, hi - x)
+            mass = r ** alpha
+            t_acc[alive] += c * mass
+            if occ_chunk is not None:
+                _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass)
+            # overshoot r (1/sqrt(Q) - 1) beyond the ball, with Q = g / (g + h)
+            # for g ~ Gamma(a), h ~ Gamma(1 - a): exact even where Q rounds to 1
+            g = rng.standard_gamma(a, len(x))
+            h = rng.standard_gamma(1.0 - a, len(x))
+            over = r * h / (np.sqrt(g) * (np.sqrt(g + h) + np.sqrt(g)))
+            up = rng.random(len(x)) < 0.5
+            # the ball's edge is the domain's endpoint itself on the near side
+            edge = np.where(up, np.where(hi - x <= x - lo, hi, x + r),
+                            np.where(x - lo <= hi - x, lo, x - r))
+            x_new = np.where(up, edge + over, edge - over)
+            flat = x_new == edge        # an overshoot below half an ulp
+            x_new[flat] = np.nextafter(edge[flat], np.where(up[flat], np.inf, -np.inf))
+            out = ~D.contains(x_new)
+            cpos[alive[out]] = x_new[out]
+            alive = alive[~out]
+            x = x_new[~out]
+            if not len(alive):
+                return t_acc, cpos, 0
+        raise RuntimeError(f"{len(alive)} walks still inside the domain after "
+                           f"{_MAX_SWEEPS} balls")
+
+    tau, exit_pos, occ, occ_sq, _ = _run_chunks(
+        config, bins.n_bins, track_occupation, walk_chunk)
+    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, 0,
+                      False, config, "walk-on-spheres")
+
+
+def _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass) -> None:
+    """Add each ball's expected time in every bin, one bin edge at a time."""
+    for e, off in zip(bins.edges, bins.offsets):
+        prev = stable.center_occupation(alpha, (e[0] - x) / r)
+        for j in range(1, len(e)):
+            cur = stable.center_occupation(alpha, (e[j] - x) / r)
+            occ_chunk[alive, off + j - 1] += mass * (cur - prev)
+            prev = cur
 
 
 def mc_mean_exit_time(model: LevyModel, b: Callable, D: C11Set, x0: float,
                       config: PathConfig) -> McEstimate:
-    sample = simulate_exit(model, b, D, x0, config, track_occupation=False)
-    return McEstimate(float(np.mean(sample.tau)),
-                      float(np.std(sample.tau, ddof=1) / np.sqrt(sample.n_paths)),
-                      sample.n_paths, "mean_exit_time")
+    return _mean_exit_estimate(simulate_exit(model, b, D, x0, config, track_occupation=False))
+
+
+def _mean_exit_estimate(s: ExitSample) -> McEstimate:
+    return McEstimate(float(np.mean(s.tau)),
+                      float(np.std(s.tau, ddof=1) / np.sqrt(s.n_paths)),
+                      s.n_paths, "mean_exit_time")
 
 
 def mc_green(model: LevyModel, b: Callable, D: C11Set, x0: float,
@@ -277,7 +401,10 @@ def mc_green(model: LevyModel, b: Callable, D: C11Set, x0: float,
     Returns (bins, values, standard errors, raw sample); the value in a bin
     estimates the bin average of Gt(x0, .).
     """
-    s = simulate_exit(model, b, D, x0, config, track_occupation=True)
+    return _green_estimate(simulate_exit(model, b, D, x0, config, track_occupation=True))
+
+
+def _green_estimate(s: ExitSample) -> tuple[BinGrid, np.ndarray, np.ndarray, ExitSample]:
     n, w = s.n_paths, s.bins.widths
     mean_occ = s.occupation / n
     var_occ = np.maximum(s.occupation_sq / n - mean_occ ** 2, 0.0)
@@ -301,6 +428,11 @@ def mc_exit_law(model: LevyModel, b: Callable, D: C11Set, x0: float,
                 hist_bins: int = 80) -> dict:
     """Exit-position histogram, plus a KS distance when a reference CDF is given."""
     s = simulate_exit(model, b, D, x0, config, track_occupation=False)
+    return _exit_law(s, D, cdf, hist_range, hist_bins)
+
+
+def _exit_law(s: ExitSample, D: C11Set, cdf: Callable | None = None,
+              hist_range: tuple[float, float] | None = None, hist_bins: int = 80) -> dict:
     if hist_range is None:
         lo, hi = D.intervals[0][0], D.intervals[-1][1]
         hist_range = (lo - 2.0 * D.diam, hi + 2.0 * D.diam)

@@ -16,7 +16,7 @@ stays a probability density in the exit position.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gamma, hyp2f1
+from scipy.special import beta, betainc, gamma, hyp2f1
 
 __all__ = [
     "levy_density_constant",
@@ -24,6 +24,7 @@ __all__ = [
     "kernel_at_one",
     "exit_time_constant",
     "mean_exit_time",
+    "center_occupation",
     "green_interval",
     "grad_green_interval",
     "poisson_interval",
@@ -88,6 +89,36 @@ def _incomplete_factor(alpha: float, w):
     a = alpha / 2.0
     w = np.asarray(w, dtype=float)
     return w ** a / a * hyp2f1(0.5, a, a + 1.0, -w)
+
+
+def center_occupation(alpha: float, s):
+    """Expected time spent in (-1, s) before leaving (-1, 1), started at 0.
+
+    The antiderivative of y -> G(0, y) on the unit interval, vectorized in s:
+    0 for s <= -1, ``exit_time_constant`` for s >= 1, and in between
+    F(1) + sign(s) F(|s|) with the closed form
+    F(s) = (B / alpha) [s^alpha I(1/s^2 - 1) + Beta(1/2, a) I_{s^2}(1/2, a)],
+    a = alpha/2, I the incomplete factor of the Green function and I_x the
+    regularized incomplete beta function.  The factor s^alpha I(1/s^2 - 1)
+    is evaluated as (1-s^2)^a hyp2f1(1/2, a; a+1; -w) / a, which neither
+    overflows nor cancels at small s.
+    """
+    _check_alpha(alpha)
+    s = np.asarray(s, dtype=float)
+    total = exit_time_constant(alpha)
+    out = np.where(s >= 1.0, total, 0.0)
+    inner = np.abs(s) < 1.0
+    if np.any(inner):
+        a = alpha / 2.0
+        t = np.abs(s[inner])
+        one_minus_sq = (1.0 - t) * (1.0 + t)
+        with np.errstate(divide="ignore"):     # t == 0 gives w = inf and F = 0
+            w = one_minus_sq / t ** 2
+        F = _green_constant(alpha) / alpha * (
+            one_minus_sq ** a / a * hyp2f1(0.5, a, a + 1.0, -w)
+            + beta(0.5, a) * betainc(0.5, a, t ** 2))
+        out[inner] = 0.5 * total + np.sign(s[inner]) * np.where(t > 0.0, F, 0.0)
+    return out if out.ndim else float(out)
 
 
 def _to_unit(interval, x, y):

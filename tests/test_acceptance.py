@@ -135,11 +135,15 @@ def test_criterion_7_poisson_mass_and_exit_law(oracle15, unit_interval):
     worst_mass = max(abs(green.poisson_mass(oracle15, x0) - 1.0)
                      for x0 in (0.0, 0.7, -0.95))
     model = models.stable_model(ALPHA)
+    zero = constant_drift(0.0)
 
+    # driftless: the Euler loop itself, and the walk on spheres that the API takes
     cdf0 = green.exit_law_cdf(lambda z: green.poisson_kernel(oracle15, 0.0, z),
                               unit_interval)
-    law0 = mc.mc_exit_law(model, constant_drift(0.0), unit_interval, 0.0,
-                          mc.PathConfig(dt=1e-3, n_paths=100_000, seed=70), cdf=cdf0)
+    cfg0 = mc.PathConfig(dt=1e-3, n_paths=100_000, seed=70)
+    law0 = mc._exit_law(mc._euler_exit(model, zero, unit_interval, 0.0, cfg0,
+                                       track_occupation=False), unit_interval, cdf=cdf0)
+    wos0 = mc.mc_exit_law(model, zero, unit_interval, 0.0, cfg0, cdf=cdf0)
 
     b = sin_drift(1.0, 5.0)
     grid = pert.build_grid(unit_interval, 400, ALPHA)
@@ -148,9 +152,11 @@ def test_criterion_7_poisson_mass_and_exit_law(oracle15, unit_interval):
                               unit_interval)
     law1 = mc.mc_exit_law(model, b, unit_interval, 0.0,
                           mc.PathConfig(dt=5e-4, n_paths=100_000, seed=71), cdf=cdf1)
-    ok = worst_mass <= 1e-3 and law0["ks"] < 0.01 and law1["ks"] < 0.02
+    ok = (worst_mass <= 1e-3 and law0["ks"] < 0.01 and wos0["ks"] < 0.01
+          and law1["ks"] < 0.02)
     _report(7, "exit density mass and law", ok,
-            f"mass err {worst_mass:.1e} <= 1e-3, KS {law0['ks']:.4f} < 0.01 (driftless), "
+            f"mass err {worst_mass:.1e} <= 1e-3, KS {law0['ks']:.4f} (Euler) and "
+            f"{wos0['ks']:.4f} (walk on spheres) < 0.01 (driftless), "
             f"KS {law1['ks']:.4f} < 0.02 (sin drift)")
 
 
@@ -159,13 +165,20 @@ def test_criterion_8_mean_exit_time(oracle15, unit_interval):
     quad_val = green.exit_time_from_green(oracle15, 0.0)
     quad_rel = abs(quad_val - closed) / closed
     model = models.stable_model(ALPHA)
-    est = mc.mc_mean_exit_time(model, constant_drift(0.0), unit_interval, 0.0,
-                               mc.PathConfig(dt=1e-3, n_paths=1_000_000, seed=80))
+    cfg = mc.PathConfig(dt=1e-3, n_paths=1_000_000, seed=80)
+    # the Euler loop itself; from the centre the walk on spheres is exact,
+    # so its twin starts off centre
+    est = mc._mean_exit_estimate(mc._euler_exit(model, constant_drift(0.0), unit_interval,
+                                                0.0, cfg, track_occupation=False))
     mc_rel = abs(est.value - closed) / closed
-    ok = mc_rel <= 0.01 and quad_rel <= 1e-3
+    closed_off = stable.mean_exit_time(ALPHA, (-1, 1), 0.7)
+    wos = mc.mc_mean_exit_time(model, constant_drift(0.0), unit_interval, 0.7, cfg)
+    wos_rel = abs(wos.value - closed_off) / closed_off
+    ok = mc_rel <= 0.01 and wos_rel <= 0.01 and quad_rel <= 1e-3
     _report(8, "mean exit time", ok,
-            f"MC {est.value:.5f} vs closed {closed:.5f} ({mc_rel * 100:.2f}% <= 1%), "
-            f"Green integral rel {quad_rel:.1e} <= 1e-3")
+            f"Euler {est.value:.5f} vs closed {closed:.5f} ({mc_rel * 100:.2f}% <= 1%), "
+            f"walk on spheres from 0.7 {wos.value:.5f} vs {closed_off:.5f} "
+            f"({wos_rel * 100:.3f}% <= 1%), Green integral rel {quad_rel:.1e} <= 1e-3")
 
 
 def test_criterion_9_kato_certification(table15):

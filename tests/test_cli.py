@@ -121,3 +121,25 @@ def test_green_commands_refuse_models_without_closed_forms(tmp_path, command, ca
     assert main([command, "--config", str(p), "--out", str(out)]) == 2
     assert "truncated-stable" in capsys.readouterr().err
     assert not (out / "ratios.csv").exists()
+
+
+def test_mc_drift_pole_at_source_is_a_config_error(tmp_path, capsys):
+    cfg = dict(SMALL_CFG, domain={"intervals": [[-1.0, -0.4], [-0.15, 0.45], [0.7, 1.3]]},
+               drift={"family": "power", "beta": 0.2, "center": 0.1}, source=0.1)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["mc", "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: drift")
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("drift,engine", [({"family": "zero"}, "walk-on-spheres"),
+                                          ({"family": "constant", "value": 1.0}, "euler")])
+def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
+    cfg = dict(SMALL_CFG, drift=drift)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["mc", "--config", str(p), "--out", str(out)]) == 0
+    assert json.loads((out / "mc_estimates.json").read_text())["engine"] == engine

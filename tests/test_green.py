@@ -49,6 +49,21 @@ def test_oracle_exit_time_identity(oracle15):
         assert et == pytest.approx(stable.mean_exit_time(ALPHA, (-1, 1), x0), rel=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 1.9])
+def test_center_occupation_matches_quadrature(alpha):
+    # the integrand has a cusp at 0, so the reference splits geometrically there
+    c = stable.exit_time_constant(alpha)
+    g = lambda y: stable.green_interval(alpha, (-1, 1), 0.0, y)  # noqa: E731
+    for s in np.geomspace(1e-8, 1.0, 17):
+        cuts = np.concatenate([[0.0], np.geomspace(1e-14 * s, s, 30)])
+        ref = sum(integrate.quad(g, a, b, limit=200, epsabs=1e-16, epsrel=1e-13)[0]
+                  for a, b in zip(cuts[:-1], cuts[1:]))
+        assert abs(stable.center_occupation(alpha, s) - 0.5 * c - ref) <= 1e-12
+        assert abs(0.5 * c - stable.center_occupation(alpha, -s) - ref) <= 1e-12
+    assert stable.center_occupation(alpha, [-3.0, -1.0, 0.0, 1.0, 3.0]) == \
+        pytest.approx([0.0, 0.0, 0.5 * c, c, c], abs=1e-16)
+
+
 def test_oracle_domain_monotonicity():
     inner = green.stable_oracle(ALPHA, interval_union((-0.5, 0.5)))
     outer = green.stable_oracle(ALPHA, interval_union((-1.0, 1.0)))

@@ -7,6 +7,12 @@ from levygreen.geometry import interval_union
 from levygreen.kato import constant_drift, sin_drift
 
 ALPHA = 1.5
+ZERO = constant_drift(0.0)
+
+# simulate_exit takes the walk on spheres for driftless stable inputs without
+# a time cap; the driftless tests run the Euler loop through its own helper,
+# with the walk on spheres beside it
+ENGINES = {"euler": mc._euler_exit, "walk-on-spheres": mc.simulate_exit}
 
 
 def test_increment_symmetry_and_scale():
@@ -47,65 +53,124 @@ def test_bins_cover_domain_exactly(two_interval):
 
 
 def test_exit_probability_symmetric(stable15, unit_interval):
-    s = mc.simulate_exit(stable15, constant_drift(0.0), unit_interval, 0.0,
-                         mc.PathConfig(dt=2e-3, n_paths=20000, seed=42),
-                         track_occupation=False)
-    p = np.mean(s.exit_pos > 0)
-    assert abs(p - 0.5) <= 3.0 * 0.5 / np.sqrt(s.n_paths)
+    for engine, simulate in ENGINES.items():
+        s = simulate(stable15, ZERO, unit_interval, 0.0,
+                     mc.PathConfig(dt=2e-3, n_paths=20000, seed=42), track_occupation=False)
+        assert s.engine == engine
+        p = np.mean(s.exit_pos > 0)
+        assert abs(p - 0.5) <= 3.0 * 0.5 / np.sqrt(s.n_paths), engine
 
 
-def test_exit_never_on_boundary(stable15, unit_interval):
-    s = mc.simulate_exit(stable15, constant_drift(0.0), unit_interval, 0.0,
-                         mc.PathConfig(dt=2e-3, n_paths=5000, seed=1),
-                         track_occupation=False)
-    assert not np.any(np.abs(s.exit_pos) == 1.0)
-    assert np.all(np.abs(s.exit_pos) > 1.0)
+def test_exit_never_on_boundary(unit_interval):
+    # at alpha 1.9 about a sixth of the walk-on-spheres exits overshoot the
+    # boundary by less than an ulp; they must still land strictly outside
+    for alpha in (1.5, 1.9):
+        for engine, simulate in ENGINES.items():
+            s = simulate(models.stable_model(alpha), ZERO, unit_interval, 0.0,
+                         mc.PathConfig(dt=2e-3, n_paths=5000, seed=1), track_occupation=False)
+            assert s.engine == engine
+            assert not np.any(np.abs(s.exit_pos) == 1.0), (engine, alpha)
+            assert np.all(np.abs(s.exit_pos) > 1.0), (engine, alpha)
+
+
+def test_engine_dispatch(stable15, unit_interval):
+    cfg = mc.PathConfig(dt=2e-3, n_paths=50, seed=0)
+
+    def engine(model, b, config=cfg):
+        return mc.simulate_exit(model, b, unit_interval, 0.0, config,
+                                track_occupation=False).engine
+
+    assert engine(stable15, ZERO) == "walk-on-spheres"
+    assert engine(stable15, constant_drift(1.0)) == "euler"
+    assert engine(stable15, sin_drift(1.0, 5.0)) == "euler"
+    assert engine(stable15, lambda z: np.zeros_like(z)) == "euler"    # no declared family
+    assert engine(models.truncated_stable_model(ALPHA, 2.0), ZERO) == "euler"
+    assert engine(stable15, ZERO, mc.PathConfig(dt=2e-3, n_paths=50, seed=0,
+                                                time_cap=10.0)) == "euler"
 
 
 def test_drift_shifts_exit_law(stable15, unit_interval):
     cfg = mc.PathConfig(dt=2e-3, n_paths=20000, seed=7)
-    s0 = mc.simulate_exit(stable15, constant_drift(0.0), unit_interval, 0.0, cfg,
-                          track_occupation=False)
+    s0 = mc._euler_exit(stable15, ZERO, unit_interval, 0.0, cfg, track_occupation=False)
     s1 = mc.simulate_exit(stable15, constant_drift(1.0), unit_interval, 0.0, cfg,
                           track_occupation=False)
     p0, p1 = np.mean(s0.exit_pos > 0), np.mean(s1.exit_pos > 0)
     assert p1 > p0 + 10.0 * 0.5 / np.sqrt(cfg.n_paths)
 
 
+def _euler_mean_exit(model, D, x0, config):
+    return mc._mean_exit_estimate(mc._euler_exit(model, ZERO, D, x0, config,
+                                                 track_occupation=False))
+
+
 def test_mean_exit_time_against_closed_form(stable15, unit_interval):
     cfg = mc.PathConfig(dt=1e-3, n_paths=50000, seed=11)
-    est = mc.mc_mean_exit_time(stable15, constant_drift(0.0), unit_interval, 0.0, cfg)
+    est = _euler_mean_exit(stable15, unit_interval, 0.0, cfg)
     closed = stable.mean_exit_time(ALPHA, (-1, 1), 0.0)
     assert est.agrees_with(closed, n_se=3.0)
     assert est.se == pytest.approx(np.std(
-        mc.simulate_exit(stable15, constant_drift(0.0), unit_interval, 0.0, cfg,
-                         track_occupation=False).tau, ddof=1) / np.sqrt(cfg.n_paths))
+        mc._euler_exit(stable15, ZERO, unit_interval, 0.0, cfg,
+                       track_occupation=False).tau, ddof=1) / np.sqrt(cfg.n_paths))
+
+
+@pytest.mark.parametrize("alpha,x0", [(1.2, 0.3), (1.5, 0.7), (1.9, -0.95)])
+def test_walk_on_spheres_mean_exit_time_against_closed_form(unit_interval, alpha, x0):
+    cfg = mc.PathConfig(dt=1e-3, n_paths=50000, seed=11)
+    model = models.stable_model(alpha)
+    est = mc.mc_mean_exit_time(model, ZERO, unit_interval, x0, cfg)
+    assert est.agrees_with(stable.mean_exit_time(alpha, (-1, 1), x0), n_se=3.0)
+    # from the centre the first ball is the whole interval: every walk
+    # holds the exact mean exit time
+    centre = mc.mc_mean_exit_time(model, ZERO, unit_interval, 0.0, cfg)
+    assert centre.se <= 1e-15 * centre.value
+    assert centre.value == pytest.approx(stable.mean_exit_time(alpha, (-1, 1), 0.0),
+                                         rel=1e-14)
 
 
 def test_mean_exit_time_step_halving_within_se(stable15, unit_interval):
-    e1 = mc.mc_mean_exit_time(stable15, constant_drift(0.0), unit_interval, 0.0,
-                              mc.PathConfig(dt=2e-3, n_paths=20000, seed=13))
-    e2 = mc.mc_mean_exit_time(stable15, constant_drift(0.0), unit_interval, 0.0,
-                              mc.PathConfig(dt=1e-3, n_paths=20000, seed=14))
+    e1 = _euler_mean_exit(stable15, unit_interval, 0.0,
+                          mc.PathConfig(dt=2e-3, n_paths=20000, seed=13))
+    e2 = _euler_mean_exit(stable15, unit_interval, 0.0,
+                          mc.PathConfig(dt=1e-3, n_paths=20000, seed=14))
     assert abs(e1.value - e2.value) < np.hypot(e1.se, e2.se) + e1.se
 
 
 def test_mean_exit_vanishes_at_boundary(stable15, unit_interval):
-    est = mc.mc_mean_exit_time(stable15, constant_drift(0.0), unit_interval, 0.995,
-                               mc.PathConfig(dt=1e-3, n_paths=4000, seed=3))
     closed0 = stable.mean_exit_time(ALPHA, (-1, 1), 0.0)
-    assert est.value < 0.05 * closed0
+    for engine, simulate in ENGINES.items():
+        est = mc._mean_exit_estimate(simulate(
+            stable15, ZERO, unit_interval, 0.995, mc.PathConfig(dt=1e-3, n_paths=4000, seed=3),
+            track_occupation=False))
+        assert est.value < 0.05 * closed0, engine
 
 
 def test_green_histogram_matches_oracle(stable15, unit_interval):
-    bins, val, se, s = mc.mc_green(stable15, constant_drift(0.0), unit_interval, 0.0,
-                                   mc.PathConfig(dt=2e-3, n_paths=30000, seed=9,
+    cfg = mc.PathConfig(dt=2e-3, n_paths=30000, seed=9, bin_width=0.1)
+    for engine, simulate in ENGINES.items():
+        bins, val, se, s = mc._green_estimate(simulate(stable15, ZERO, unit_interval, 0.0, cfg))
+        assert s.engine == engine
+        for k, (e0, e1) in enumerate(zip(bins.edges[0][:-1], bins.edges[0][1:])):
+            ref, _ = integrate.quad(lambda y: stable.green_interval(ALPHA, (-1, 1), 0.0, y),
+                                    e0, e1, points=[0.0] if e0 < 0.0 < e1 else None,
+                                    limit=200)
+            ref /= e1 - e0
+            assert abs(val[k] - ref) <= 3.0 * se[k] + 0.01 * ref, engine
+
+
+@pytest.mark.parametrize("alpha,x0", [(1.2, 0.3), (1.9, -0.8)])
+def test_walk_on_spheres_occupation_matches_oracle_without_slack(unit_interval, alpha, x0):
+    # exact per-ball occupations: no time-step slack, and a walk's bin
+    # times add up to its tau to rounding
+    bins, val, se, s = mc.mc_green(models.stable_model(alpha), ZERO, unit_interval, x0,
+                                   mc.PathConfig(dt=1e-3, n_paths=20000, seed=8,
                                                  bin_width=0.1))
-    for k, (e0, e1) in enumerate(zip(bins.edges[0][:-1], bins.edges[0][1:])):
-        ref, _ = integrate.quad(lambda y: stable.green_interval(ALPHA, (-1, 1), 0.0, y),
-                                e0, e1, points=[0.0] if e0 < 0.0 < e1 else None, limit=200)
-        ref /= e1 - e0
-        assert abs(val[k] - ref) <= 3.0 * se[k] + 0.01 * ref
+    G = green.stable_oracle(alpha, unit_interval)
+    ref = [integrate.quad(lambda y: G.value(x0, y), e0, e1, limit=200,
+                          points=[x0] if e0 < x0 < e1 else None)[0] / (e1 - e0)
+           for e0, e1 in zip(bins.edges[0][:-1], bins.edges[0][1:])]
+    z = np.abs(val - ref) / se
+    assert np.all(z < 4.0)
+    assert s.occupation.sum() == pytest.approx(s.tau.sum(), rel=1e-12)
 
 
 def test_occupation_identity(stable15, unit_interval):
@@ -119,11 +184,12 @@ def test_occupation_identity(stable15, unit_interval):
 
 
 def test_se_scales_with_paths(stable15, unit_interval):
-    e1 = mc.mc_mean_exit_time(stable15, constant_drift(0.0), unit_interval, 0.0,
-                              mc.PathConfig(dt=4e-3, n_paths=10000, seed=31))
-    e2 = mc.mc_mean_exit_time(stable15, constant_drift(0.0), unit_interval, 0.0,
-                              mc.PathConfig(dt=4e-3, n_paths=40000, seed=32))
-    assert e2.se == pytest.approx(0.5 * e1.se, rel=0.2)
+    # the walk on spheres starts off centre: from the centre its tau is exact
+    for (engine, simulate), x0 in zip(ENGINES.items(), (0.0, 0.5)):
+        e1, e2 = (mc._mean_exit_estimate(simulate(
+            stable15, ZERO, unit_interval, x0, mc.PathConfig(dt=4e-3, n_paths=n, seed=seed),
+            track_occupation=False)) for n, seed in ((10000, 31), (40000, 32)))
+        assert e2.se == pytest.approx(0.5 * e1.se, rel=0.2), engine
 
 
 def test_bitwise_reproducibility(stable15, unit_interval):
@@ -135,17 +201,37 @@ def test_bitwise_reproducibility(stable15, unit_interval):
     assert np.array_equal(a.occupation, b.occupation)
 
 
+def test_walk_on_spheres_bitwise_reproducibility(stable15, two_interval):
+    cfg = mc.PathConfig(dt=1e-3, n_paths=5000, seed=123, chunk=2000)
+    a, b = (mc.simulate_exit(stable15, ZERO, two_interval, 0.5, cfg) for _ in range(2))
+    assert a.engine == "walk-on-spheres"
+    for name in ("tau", "exit_pos", "occupation", "occupation_sq"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    other = mc.simulate_exit(stable15, ZERO, two_interval, 0.5,
+                             mc.PathConfig(dt=1e-3, n_paths=5000, seed=124, chunk=2000))
+    assert not np.array_equal(a.exit_pos, other.exit_pos)
+
+
+def test_walk_on_spheres_refuses_to_censor(stable15, unit_interval, monkeypatch):
+    monkeypatch.setattr(mc, "_MAX_SWEEPS", 1)
+    with pytest.raises(RuntimeError, match="still inside"):
+        mc.simulate_exit(stable15, ZERO, unit_interval, 0.7,
+                         mc.PathConfig(dt=1e-3, n_paths=1000, seed=0))
+
+
 def test_exit_law_ks_zero_drift(stable15, oracle15, unit_interval):
     cdf = green.exit_law_cdf(lambda z: green.poisson_kernel(oracle15, 0.0, z),
                              unit_interval)
-    law = mc.mc_exit_law(stable15, constant_drift(0.0), unit_interval, 0.0,
-                         mc.PathConfig(dt=2e-3, n_paths=30000, seed=5), cdf=cdf)
-    assert law["ks"] < 0.015
-    assert law["boundary_hits"] == 0
-    # mirror symmetry of the histogram within multinomial noise
-    counts = law["counts"]
-    diff = np.abs(counts - counts[::-1])
-    assert np.all(diff <= 5.0 * np.sqrt(np.maximum(counts + counts[::-1], 1.0)))
+    for engine, simulate in ENGINES.items():
+        law = mc._exit_law(simulate(stable15, ZERO, unit_interval, 0.0,
+                                    mc.PathConfig(dt=2e-3, n_paths=30000, seed=5),
+                                    track_occupation=False), unit_interval, cdf=cdf)
+        assert law["ks"] < 0.015, engine
+        assert law["boundary_hits"] == 0, engine
+        # mirror symmetry of the histogram within multinomial noise
+        counts = law["counts"]
+        diff = np.abs(counts - counts[::-1])
+        assert np.all(diff <= 5.0 * np.sqrt(np.maximum(counts + counts[::-1], 1.0))), engine
 
 
 def _bin_averages(G, x0, bins, order=8):
@@ -161,18 +247,34 @@ def _bin_averages(G, x0, bins, order=8):
 def test_two_interval_green_matches_numeric(stable15, two_interval, numeric15):
     # MC occupation in a union of intervals against the coupled solver; the
     # step must be small enough that the kink at the source stays unbiased
-    bins, val, se, s = mc.mc_green(stable15, constant_drift(0.0), two_interval, 0.5,
-                                   mc.PathConfig(dt=5e-4, n_paths=30000, seed=17,
-                                                 bin_width=0.1))
+    bins, val, se, s = mc._green_estimate(mc._euler_exit(
+        stable15, ZERO, two_interval, 0.5,
+        mc.PathConfig(dt=5e-4, n_paths=30000, seed=17, bin_width=0.1)))
     ref = _bin_averages(numeric15, 0.5, bins)
     z = np.abs(val - ref) / np.maximum(se, 1e-12)
     assert np.all(z < 3.5)
+
+
+def test_walk_on_spheres_cross_checks_numeric_union_green(stable15, two_interval, numeric15):
+    # no closed form exists on a union; the exact walk is the high-precision
+    # reference for the coupled solver's exit time and Green row
+    x0 = 0.5
+    bins, val, se, s = mc.mc_green(stable15, ZERO, two_interval, x0,
+                                   mc.PathConfig(dt=5e-4, n_paths=200_000, seed=17,
+                                                 bin_width=0.1))
+    assert s.engine == "walk-on-spheres"
+    est = mc._mean_exit_estimate(s)
+    assert est.agrees_with(green.exit_time_from_green(numeric15, x0), n_se=3.5)
+    assert est.se < 2e-3 * est.value
+    z = np.abs(val - _bin_averages(numeric15, x0, bins)) / se
+    assert np.all(z < 4.0)
 
 
 def test_censoring_reported(stable15, unit_interval):
     cfg = mc.PathConfig(dt=1e-3, n_paths=200, seed=2, time_cap=0.05)
     s = mc.simulate_exit(stable15, constant_drift(0.0), unit_interval, 0.0, cfg,
                          track_occupation=False)
+    assert s.engine == "euler"      # a time cap needs the stepping engine
     assert s.censored > 0
     assert np.all(s.tau <= 0.05 + 1e-12) | np.any(s.tau > 0)
 
@@ -184,7 +286,7 @@ def test_approximate_model_route():
     s = mc.simulate_exit(m, constant_drift(0.0), D, 0.0,
                          mc.PathConfig(dt=2e-3, n_paths=4000, seed=19,
                                        small_jump_cutoff=0.05))
-    assert s.approximate_noise
+    assert s.approximate_noise and s.engine == "euler"
     p = np.mean(s.exit_pos > 0)
     assert abs(p - 0.5) <= 4.0 * 0.5 / np.sqrt(s.n_paths)
     total = s.occupation.sum() / s.n_paths
