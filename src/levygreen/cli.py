@@ -91,8 +91,6 @@ def _green_for(model, domain, n_nodes):
         alpha = models.stable_index(model)
     except ValueError as exc:
         raise ConfigError(f"Green-function commands: {exc}") from exc
-    if len(domain.intervals) == 1:
-        return green.stable_oracle(alpha, domain)
     return green.numeric_table_green(alpha, domain, nodes_per_component=max(n_nodes, 120))
 
 

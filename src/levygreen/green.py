@@ -10,6 +10,10 @@ Three interchangeable Green-function representations:
   union means leaving the current interval and either landing outside or
   landing in another component and continuing from there.
 
+Exit densities P(x, z) = int G(x, y) nu(z - y) dy (``exit_density``) are
+integrated over the complement by one rule, with a closed-form boundary
+layer at each endpoint, for both the mass and the exit law.
+
 The checkers quantify comparability statements that the theory leaves
 constant-free: the Poisson-kernel envelope, the gradient bound, the
 three-function inequality, and the drift-interaction integral kappa.
@@ -27,7 +31,7 @@ from scipy.linalg import lu_factor, lu_solve
 from . import mesh, stable
 from .geometry import C11Set, delta
 from .kernels import KernelTable
-from .models import LevyModel, stable_model
+from .models import LevyModel, stable_index, stable_model
 
 __all__ = [
     "GreenFunction",
@@ -37,6 +41,7 @@ __all__ = [
     "numeric_table_green",
     "green_envelope",
     "green_punctured_line",
+    "exit_density",
     "poisson_kernel",
     "poisson_mass",
     "complement_mass",
@@ -191,10 +196,14 @@ def numeric_table_green(alpha: float, domain: C11Set, nodes_per_component: int =
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers on the domain
+# quadrature on the domain and on its complement
+
+_FAR_FACTOR = 50.0      # collar width in diameters; the tails beyond are inverted
+_N_EXTERIOR = 192       # nodes per exterior piece inside the collar
+_LAYER_FRAC = 1e-4      # boundary-layer cutoff as a fraction of r0
 
 
-def _domain_nodes(D: C11Set, splits=(), n_per_segment: int = 64, grading: float = 8.0,
+def _domain_nodes(D: C11Set, splits, n_per_segment: int, grading: float = 8.0,
                   order: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """Panels on D split at the given interior points.
 
@@ -213,137 +222,137 @@ def _domain_nodes(D: C11Set, splits=(), n_per_segment: int = 64, grading: float 
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def poisson_kernel(G: GreenFunction, x: float, z, n_per_segment: int = 96):
+def _green_row(G: GreenFunction, x: float, n_per_segment: int):
+    """Domain nodes y_j and the weighted Green row G(x, y_j) w_j."""
+    y, w = _domain_nodes(G.domain, splits=(x,), n_per_segment=n_per_segment)
+    return y, np.asarray(G.value(x, y), dtype=float) * w
+
+
+def _layer_mass(d, p: float, c0: float, c1: float):
+    """Mass within distance d of an endpoint where the density is d^(-p) (c0 + c1 d)."""
+    return c0 * d ** (1.0 - p) / (1.0 - p) + c1 * d ** (2.0 - p) / (2.0 - p)
+
+
+def _exterior_cumulative(D: C11Set, density: Callable,
+                         exponent: Callable) -> tuple[Callable, float]:
+    """Cumulative mass of an exit density along the line, and its total.
+
+    Power-substituted panels cover the complement down to dcap = _LAYER_FRAC r0
+    from each endpoint; beyond a collar of _FAR_FACTOR diameters the tails are
+    inverted.  Each layer below dcap is completed with the density
+    d^(-p) (C0 + C1 d), p = exponent(P(dcap), P(2 dcap), P(4 dcap)) and C0, C1
+    matched at dcap and 2 dcap.  Inside a layer the cumulative is that closed
+    antiderivative at the query's own distance d to the endpoint (exact even
+    at d of one ulp); elsewhere it is linear between quadrature nodes.
+    """
+    lo, hi = D.intervals[0][0], D.intervals[-1][1]
+    span = _FAR_FACTOR * D.diam
+    dcap = _LAYER_FRAC * D.r0
+
+    def nodes(z, w):
+        # (knots, cumulative at the middle of each node's mass, total)
+        order = np.argsort(z)
+        m = np.asarray(density(z[order]), dtype=float) * w[order]
+        return z[order], np.cumsum(m) - 0.5 * m, float(np.sum(m))
+
+    gaps = [(b1 + dcap, a2 - dcap, "both")
+            for (_, b1), (a2, _) in zip(D.intervals[:-1], D.intervals[1:])]
+    collars = [(lo - span, lo - dcap, "right"), (hi + dcap, hi + span, "left")]
+    pieces = [nodes(*mesh.power_panels(a, b, 8.0, _N_EXTERIOR, order=8, singular_end=side))
+              for a, b, side in gaps + collars]
+    # algebraic tails beyond the collar via z = edge +- diam (1/t - 1)
+    t, tw = mesh.graded_panels(0.0, 1.0, 64, grading=1.0, order=8)
+    for sgn, edge in ((-1.0, lo - span), (1.0, hi + span)):
+        pieces.append(nodes(edge + sgn * (1.0 / t - 1.0) * D.diam, D.diam / t ** 2 * tw))
+    layers = []
+    for e, sgn in ((e, s) for iv in D.intervals for e, s in zip(iv, (-1.0, 1.0))):
+        p1, p2, p4 = np.asarray(density(e + sgn * dcap * np.array([1.0, 2.0, 4.0])))
+        if p1 <= 0 or p2 <= 0:
+            continue
+        p = float(exponent(p1, p2, p4))
+        c0_plus = p1 * dcap ** p            # C0 + C1 dcap
+        c01 = p2 * (2.0 * dcap) ** p        # C0 + 2 C1 dcap
+        c1 = (c01 - c0_plus) / dcap
+        layers.append((e, sgn, p, c0_plus - c1 * dcap, c1))
+        mass = _layer_mass(dcap, *layers[-1][2:])
+        pieces.append((np.sort([e, e + sgn * dcap]), np.array([0.0, mass]), mass))
+
+    knots_z, knots_c, total = [], [], 0.0
+    for z, c, mass in sorted(pieces, key=lambda piece: piece[0][0]):
+        knots_z.append(z)
+        knots_c.append(total + c)
+        total += mass
+    kz, kc = np.concatenate(knots_z), np.maximum.accumulate(np.concatenate(knots_c))
+
+    def cumulative(q):
+        qq = np.atleast_1d(np.asarray(q, dtype=float))
+        out = np.interp(qq, kz, kc, left=0.0, right=total)
+        for e, sgn, p, c0, c1 in layers:
+            d = sgn * (qq - e)
+            near = (d > 0.0) & (d < dcap)
+            out[near] = np.interp(e, kz, kc) + sgn * _layer_mass(d[near], p, c0, c1)
+        return out.reshape(np.shape(q))
+
+    return cumulative, total
+
+
+def exit_density(D: C11Set, model: LevyModel, x: float, y: np.ndarray, gw: np.ndarray, z):
+    """Exit density by the occupation formula P(x, z) = sum_j nu(|z - y_j|) gw_j.
+
+    gw is the weighted Green row G(x, y_j) w_j of the source x on the nodes
+    y.  x must be inside the domain, z strictly outside its closure.
+    """
+    if not D.contains(x):
+        raise ValueError("source point must lie inside the domain")
+    zz = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(D.contains(zz)):
+        raise ValueError("evaluation points of the exit density must lie outside the domain")
+    vals = model.nu(np.abs(zz[:, None] - y[None, :])) @ gw
+    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+
+
+def poisson_kernel(G: GreenFunction, x: float, z):
     """Exit-position density by the occupation formula P(x, z) = int G(x, y) nu(z - y) dy.
 
     x must be inside the domain, z strictly outside its closure.
     """
-    D = G.domain
-    if not D.contains(x):
-        raise ValueError("source point must lie inside the domain")
-    z = np.asarray(z, dtype=float)
-    if np.any(D.contains(z)):
-        raise ValueError("evaluation points of the exit density must lie outside the domain")
-    y, w = _domain_nodes(D, splits=(x,), n_per_segment=n_per_segment)
-    gv = np.asarray(G.value(x, y), dtype=float)
-    zz = np.atleast_1d(z).astype(float)
-    vals = G.model.nu(np.abs(zz[:, None] - y[None, :])) @ (gv * w)
-    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+    return exit_density(G.domain, G.model, x, *_green_row(G, x, 96), z)
 
 
-def complement_mass(D: C11Set, model: LevyModel, y: np.ndarray, gw: np.ndarray,
-                    far_factor: float = 50.0,
-                    n_exterior: int = 192, layer_frac: float = 1e-4) -> float:
+def complement_mass(D: C11Set, model: LevyModel, y: np.ndarray, gw: np.ndarray) -> float:
     """Mass over the complement of the exit density z -> sum_j nu(|z-y_j|) gw_j.
 
-    The density blows up like a fractional power of the distance to the
-    domain, and a substantial share of the mass sits in that boundary layer.
-    The complement is integrated on power-substituted panels down to a
-    resolved cutoff; below the cutoff the layer is completed analytically
-    from a local power fit of the density at the last resolved scales.
-    Beyond a wide collar the algebraic tail is integrated by inversion.
+    The density blows up like d^(-alpha/2) at distance d from the domain, and
+    the layer is completed with that exponent: a Nystrom row resolves it too
+    coarsely to fit one, so only models with closed forms are accepted.
     """
-    lo, hi = D.intervals[0][0], D.intervals[-1][1]
-    span = far_factor * D.diam
-    dcap = layer_frac * D.r0
-
-    def density(zs):
-        return model.nu(np.abs(np.asarray(zs)[:, None] - y[None, :])) @ gw
-
-    # exterior pieces, each shrunk by the cutoff at singular (= boundary) ends
-    pieces = []
-    for (a1, b1), (a2, b2) in zip(D.intervals[:-1], D.intervals[1:]):
-        pieces.append((b1 + dcap, a2 - dcap, "both"))
-    pieces.append((lo - span, lo - dcap, "right"))
-    pieces.append((hi + dcap, hi + span, "left"))
-
-    total = 0.0
-    for a, b, side in pieces:
-        zn, zw = mesh.power_panels(a, b, 8.0, n_exterior, order=8, singular_end=side)
-        total += float(density(zn) @ zw)
-
-    # layer completion at each boundary point: P ~ d^(-p) (C0 + C1 d) below
-    # the cutoff, with p = alpha/2 for models that carry a stability index
-    # and fitted from the resolved scales otherwise
-    edges = []
-    for a, b in D.intervals:
-        edges.append((a, -1.0))
-        edges.append((b, +1.0))
-    for e, sgn in edges:
-        p1 = float(density(np.array([e + sgn * dcap]))[0])
-        p2 = float(density(np.array([e + sgn * 2.0 * dcap]))[0])
-        if p1 <= 0 or p2 <= 0:
-            continue
-        if model.alpha is not None:
-            p = 0.5 * model.alpha
-            c0_plus = p1 * dcap ** p            # C0 + C1 dcap
-            c01 = p2 * (2.0 * dcap) ** p        # C0 + 2 C1 dcap
-            c1 = (c01 - c0_plus) / dcap
-            c0 = c0_plus - c1 * dcap
-            total += (c0 * dcap ** (1.0 - p) / (1.0 - p)
-                      + c1 * dcap ** (2.0 - p) / (2.0 - p))
-        else:
-            p_hat = min(max(np.log(p1 / p2) / np.log(2.0), 0.0), 0.995)
-            total += p1 * dcap / (1.0 - p_hat)
-
-    # algebraic tails beyond the collar via z = edge +- diam (1/t - 1)
-    t, tw = mesh.graded_panels(0.0, 1.0, 64, grading=1.0, order=8)
-    for sgn, edge in ((-1.0, lo - span), (1.0, hi + span)):
-        zt = edge + sgn * (1.0 / t - 1.0) * D.diam
-        total += float((density(zt) * D.diam / t ** 2) @ tw)
-    return total
+    p = 0.5 * stable_index(model)
+    return _exterior_cumulative(D, lambda zs: model.nu(np.abs(zs[:, None] - y[None, :])) @ gw,
+                                lambda *_: p)[1]
 
 
-def poisson_mass(G: GreenFunction, x: float, far_factor: float = 50.0,
-                 n_per_segment: int = 128, n_exterior: int = 192,
-                 layer_frac: float = 1e-4) -> float:
+def poisson_mass(G: GreenFunction, x: float) -> float:
     """Total mass of the exit density over the complement of the domain."""
-    y, w = _domain_nodes(G.domain, splits=(x,), n_per_segment=n_per_segment)
-    gw = np.asarray(G.value(x, y), dtype=float) * w
-    return complement_mass(G.domain, G.model, y, gw, far_factor, n_exterior, layer_frac)
+    return complement_mass(G.domain, G.model, *_green_row(G, x, 128))
 
 
-def exit_law_cdf(density: Callable, D: C11Set, far_factor: float = 200.0,
-                 n_exterior: int = 512) -> Callable:
+def exit_law_cdf(density: Callable, D: C11Set) -> Callable:
     """Normalized distribution function of an exit density over the complement.
 
     ``density`` maps exterior positions to the exit density (vectorized).
-    The cumulative is accumulated on power-substituted panels, dense exactly
-    where the density blows up, then interpolated; evaluation points between
-    the far cutoffs see the full algebraic tail through the normalization.
+    The rule is that of ``complement_mass``, with the layer exponent fitted
+    as p = 2 log2(P(d)/P(2d)) - log2(P(2d)/P(4d)) at the cutoff d, which
+    cancels the first-order term of P ~ d^(-p) (C0 + C1 d).  The law stays
+    exact next to each endpoint, where much of it lies at high alpha.
     """
-    lo, hi = D.intervals[0][0], D.intervals[-1][1]
-    span = far_factor * D.diam
-    eps = 1e-12 * D.r0      # keep nodes representable strictly off the boundary
-    pieces = [(b1 + eps, a2 - eps, "both") for (a1, b1), (a2, b2)
-              in zip(D.intervals[:-1], D.intervals[1:])]
-    pieces.insert(0, (lo - span, lo - eps, "right"))
-    pieces.append((hi + eps, hi + span, "left"))
-
-    zs, cum = [], []
-    running = 0.0
-    for a, b, side in sorted(pieces):
-        zn, zw = mesh.power_panels(a, b, 10.0, n_exterior, order=8, singular_end=side)
-        dv = np.asarray(density(zn), dtype=float) * zw
-        c = running + np.cumsum(dv) - 0.5 * dv
-        zs.append(zn)
-        cum.append(c)
-        running = running + float(np.sum(dv))
-    zs = np.concatenate(zs)
-    cum = np.concatenate(cum)
-    order = np.argsort(zs)
-    zs, cum = zs[order], np.maximum.accumulate(cum[order])
-    total = running
-
-    def cdf(q):
-        return np.interp(np.asarray(q, dtype=float), zs, cum, left=0.0, right=total) / total
-
-    return cdf
+    cumulative, total = _exterior_cumulative(
+        D, density, lambda p1, p2, p4: 2.0 * np.log2(p1 / p2) - np.log2(p2 / p4))
+    return lambda q: cumulative(q) / total
 
 
-def exit_time_from_green(G: GreenFunction, x: float, n_per_segment: int = 96) -> float:
+def exit_time_from_green(G: GreenFunction, x: float) -> float:
     """Mean exit time as the integral of the Green function over the domain."""
-    y, w = _domain_nodes(G.domain, splits=(x,), n_per_segment=n_per_segment)
+    y, w = _domain_nodes(G.domain, splits=(x,), n_per_segment=96)
     return float(np.asarray(G.value(x, y), dtype=float) @ w)
 
 
@@ -359,9 +368,8 @@ def _dist_to_domain(D: C11Set, z):
     return np.where(D.contains(z), 0.0, d)
 
 
-def _boundary_biased_points(D: C11Set, n: int, rng, boundary_frac: float = 0.5,
-                            boundary_scale: float = 0.1):
-    """Sample points of D, half of them pushed within a fraction of r0 of an endpoint.
+def _boundary_biased_points(D: C11Set, n: int, rng):
+    """Sample points of D, half of them pushed within 0.1 r0 of an endpoint.
 
     The depth floor keeps sampled boundary distances inside the range that
     kernel tables can evaluate.
@@ -372,15 +380,15 @@ def _boundary_biased_points(D: C11Set, n: int, rng, boundary_frac: float = 0.5,
     b = np.array([D.intervals[c][1] for c in comp])
     u = np.clip(rng.random(n), 1e-4, 1.0 - 1e-4)
     x_unif = a + u * (b - a)
-    d = np.maximum(rng.random(n), 1e-4) * boundary_scale * D.r0
+    d = np.maximum(rng.random(n), 1e-4) * 0.1 * D.r0
     left = rng.random(n) < 0.5
     x_bnd = np.where(left, a + d, b - d)
-    use_bnd = rng.random(n) < boundary_frac
+    use_bnd = rng.random(n) < 0.5
     return np.where(use_bnd, x_bnd, x_unif)
 
 
 def check_poisson_envelope(G: GreenFunction, table: KernelTable, n_samples: int = 1000,
-                           seed: int = 0, z_factor: float = 5.0) -> dict:
+                           seed: int = 0) -> dict:
     """Empirical comparability of the quadrature exit density with its envelope.
 
     The envelope is V(d_x) / (V(d_z) |x-z|) * (V(diam D) / V(d_z) ^ 1) with
@@ -395,7 +403,7 @@ def check_poisson_envelope(G: GreenFunction, table: KernelTable, n_samples: int 
     zs = np.empty(n_samples)
     for i in range(n_samples):
         while True:
-            cand = rng.uniform(lo - z_factor * D.diam, hi + z_factor * D.diam)
+            cand = rng.uniform(lo - 5.0 * D.diam, hi + 5.0 * D.diam)
             if not D.contains(cand) and _dist_to_domain(D, cand) > 1e-9 * D.diam:
                 zs[i] = cand
                 break
@@ -418,8 +426,7 @@ def _graded_axis(D: C11Set, n: int, grading: float = 3.0) -> np.ndarray:
     return np.concatenate([mesh.graded_breaks(a, b, t, grading) for a, b in D.intervals])
 
 
-def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200,
-                         exclusion: float = 1e-4) -> dict:
+def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200) -> dict:
     """Supremum of |dG/dx| (|x-y| ^ d_x) / (G ^ K(|x-y|)) over a graded grid.
 
     A finite, grid-stable supremum is the numerical content of the gradient
@@ -431,7 +438,7 @@ def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200,
     xs = _graded_axis(D, n)
     ys = _graded_axis(D, n)
     X, Y = xs[:, None], ys[None, :]
-    keep = np.abs(X - Y) > exclusion * D.diam
+    keep = np.abs(X - Y) > 1e-4 * D.diam
     Xb, Yb = np.broadcast_arrays(X, Y)
     g = np.asarray(G.value(X, Y), dtype=float)
     dg = np.zeros_like(g)
@@ -462,7 +469,7 @@ class TripleStat:
 
 
 def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_000,
-                     seed: int = 0, boundary_frac: float = 0.5) -> TripleStat:
+                     seed: int = 0) -> TripleStat:
     """Empirical constant of the three-point inequality.
 
     Ratio of G(x,z)G(z,y)/G(x,y) against
@@ -471,9 +478,9 @@ def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_
     """
     D = G.domain
     rng = np.random.default_rng(seed)
-    x = _boundary_biased_points(D, n_triples, rng, boundary_frac)
-    y = _boundary_biased_points(D, n_triples, rng, boundary_frac)
-    z = _boundary_biased_points(D, n_triples, rng, boundary_frac)
+    x = _boundary_biased_points(D, n_triples, rng)
+    y = _boundary_biased_points(D, n_triples, rng)
+    z = _boundary_biased_points(D, n_triples, rng)
     keep = (x != y) & (y != z) & (x != z)
     x, y, z = x[keep], y[keep], z[keep]
     gxz = np.asarray(G.value(x, z), dtype=float)
@@ -491,8 +498,7 @@ def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_
                       bool(np.all(np.isfinite(ratio))), seed)
 
 
-def kappa(G: GreenFunction, b: Callable, x: float, y: float,
-          n_per_segment: int = 48, grading: float = 4.0) -> float:
+def kappa(G: GreenFunction, b: Callable, x: float, y: float) -> float:
     """Drift-interaction integral int |b(z) G(x,z) dG(z,y)/dz| dz / G(x,y).
 
     The integrand has an integrable power singularity at z = y; panels are
@@ -501,7 +507,7 @@ def kappa(G: GreenFunction, b: Callable, x: float, y: float,
     if G.grad_x is None:
         raise ValueError("kappa needs a representation with a gradient")
     D = G.domain
-    z, w = _domain_nodes(D, splits=(x, y), n_per_segment=n_per_segment, grading=grading)
+    z, w = _domain_nodes(D, splits=(x, y), n_per_segment=48, grading=4.0)
     gxz = np.asarray(G.value(x, z), dtype=float)
     dgzy = np.asarray(G.grad_x(z, y), dtype=float)
     gxy = float(G.value(x, y))
@@ -515,8 +521,7 @@ def kappa(G: GreenFunction, b: Callable, x: float, y: float,
     return val
 
 
-def kappa_sup(G: GreenFunction, b: Callable, n_grid: int = 16,
-              n_per_segment: int = 48, seed: int = 0) -> float:
+def kappa_sup(G: GreenFunction, b: Callable, n_grid: int = 16) -> float:
     """Supremum of kappa over a boundary-clustered evaluation grid."""
     pts = _graded_axis(G.domain, n_grid)
     best = 0.0
@@ -524,13 +529,12 @@ def kappa_sup(G: GreenFunction, b: Callable, n_grid: int = 16,
         for yv in pts:
             if xv == yv:
                 continue
-            best = max(best, kappa(G, b, float(xv), float(yv),
-                                   n_per_segment=n_per_segment))
+            best = max(best, kappa(G, b, float(xv), float(yv)))
     return best
 
 
 def gradient_tail_integrals(G: GreenFunction, b: Callable, thresholds,
-                            n_y: int = 24, n_per_segment: int = 64) -> list[float]:
+                            n_y: int = 24) -> list[float]:
     """Decay of sup_y int over {|dG(z,y)| > N} of |dG(z,y)| |b(z)| dz in N.
 
     A decreasing sequence certifies that the Green gradient is uniformly
@@ -543,7 +547,7 @@ def gradient_tail_integrals(G: GreenFunction, b: Callable, thresholds,
     for N in thresholds:
         worst = 0.0
         for yv in ys:
-            z, w = _domain_nodes(D, splits=(yv,), n_per_segment=n_per_segment, grading=4.0)
+            z, w = _domain_nodes(D, splits=(yv,), n_per_segment=64, grading=4.0)
             dg = np.abs(np.asarray(G.grad_x(z, float(yv)), dtype=float))
             mask = dg > N
             val = float(np.sum(dg[mask] * np.abs(np.asarray(b(z), dtype=float))[mask] * w[mask]))

@@ -29,7 +29,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import mesh, stable
 from .geometry import C11Set
-from .green import GreenFunction, complement_mass
+from .green import GreenFunction, complement_mass, exit_density
 from .models import stable_index
 
 __all__ = [
@@ -74,6 +74,17 @@ def build_grid(domain: C11Set, n_per_component: int = 200, alpha: float = 1.5,
                                                        grading, order), grading)
 
 
+def _singular_model(grid: NystromGrid, alpha: float) -> np.ndarray:
+    """Local singular model of dG: [j, k] is -dK(z_j - z_k) within a component, else 0."""
+    z, cid = grid.nodes, grid.comp_id
+    gap = z[:, None] - z[None, :]
+    keep = (cid[:, None] == cid[None, :]) & (gap != 0.0)
+    c_s = (alpha - 1.0) * stable.kernel_at_one(alpha)
+    out = np.zeros_like(gap)
+    out[keep] = -np.sign(gap[keep]) * c_s * np.abs(gap[keep]) ** (alpha - 2.0)
+    return out
+
+
 def discretize_green(G: GreenFunction, grid: NystromGrid) -> tuple[np.ndarray, np.ndarray]:
     """Green matrix and derivative matrix on grid x grid.
 
@@ -94,38 +105,29 @@ def discretize_green(G: GreenFunction, grid: NystromGrid) -> tuple[np.ndarray, n
     dG[off] = np.asarray(G.grad_x(Zi[off], Zj[off]), dtype=float)
 
     # bounded remainder dG(z, y) + dK(z - y) at z = y, from adjacent nodes
-    alpha = stable_index(G.model)
-    c_s = (alpha - 1.0) * stable.kernel_at_one(alpha)
-    for k in range(n):
-        vals = []
-        for j in (k - 1, k + 1):
-            if 0 <= j < n and grid.comp_id[j] == grid.comp_id[k]:
-                m = -np.sign(z[j] - z[k]) * c_s * np.abs(z[j] - z[k]) ** (alpha - 2.0)
-                vals.append(dG[j, k] - m)
-        dG[k, k] = float(np.mean(vals)) if vals else 0.0
+    m = _singular_model(grid, stable_index(G.model))
+    same = grid.comp_id[1:] == grid.comp_id[:-1]       # nodes k and k + 1
+    from_above = np.where(same, np.diagonal(dG, 1) - np.diagonal(m, 1), 0.0)
+    from_below = np.where(same, np.diagonal(dG, -1) - np.diagonal(m, -1), 0.0)
+    np.fill_diagonal(dG, (np.r_[0.0, from_above] + np.r_[from_below, 0.0])
+                     / (np.r_[0, same] + np.r_[same, 0]))
     return Gmat, dG
 
 
-def _operator(G: GreenFunction, b: Callable, grid: NystromGrid,
-              Gmat: np.ndarray, dG: np.ndarray) -> np.ndarray:
+def _operator(G: GreenFunction, b: Callable, grid: NystromGrid, dG: np.ndarray) -> np.ndarray:
     """Weighted interaction operator B with singularity-corrected diagonal."""
     z, w, cid = grid.nodes, grid.weights, grid.comp_id
-    n = grid.n
     alpha = stable_index(G.model)
-    K1 = stable.kernel_at_one(alpha)
-    c_s = (alpha - 1.0) * K1
     bz = np.asarray(b(z), dtype=float)
 
     B = w[:, None] * bz[:, None] * dG
     # diagonal: w_k rem_k plus the closed-form integral of the singular model
-    # minus what the plain weights assign to it
-    for k in range(n):
-        a_c, b_c = grid.domain.intervals[cid[k]]
-        mint = -K1 * ((b_c - z[k]) ** (alpha - 1.0) - (z[k] - a_c) ** (alpha - 1.0))
-        same = (cid == cid[k]) & (np.arange(n) != k)
-        m_vals = -np.sign(z[same] - z[k]) * c_s * np.abs(z[same] - z[k]) ** (alpha - 2.0)
-        corr = mint - float(w[same] @ m_vals)
-        B[k, k] = bz[k] * (w[k] * dG[k, k] + corr)
+    # over the node's component minus what the plain weights assign to it
+    ends = np.asarray(grid.domain.intervals, dtype=float)[cid]
+    mint = -stable.kernel_at_one(alpha) * ((ends[:, 1] - z) ** (alpha - 1.0)
+                                          - (z - ends[:, 0]) ** (alpha - 1.0))
+    corr = mint - w @ _singular_model(grid, alpha)
+    np.fill_diagonal(B, bz * (w * np.diagonal(dG) + corr))
     return B
 
 
@@ -171,7 +173,7 @@ def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid,
     trace relative to the unperturbed kernel as a contraction diagnostic.
     """
     Gmat, dG = discretize_green(G, grid)
-    B = _operator(G, b, grid, Gmat, dG)
+    B = _operator(G, b, grid, dG)
     kappa_disc = float(np.max((Gmat @ np.abs(B)) / Gmat))
     lu = lu_factor((np.eye(grid.n) - B).T)
 
@@ -275,17 +277,10 @@ def find_epsilon(domain_family: Callable[[float], C11Set], b: Callable,
 
 def perturbed_poisson(pg: PerturbedGreen, x: float, z):
     """Exit density of the perturbed process, from the occupation identity."""
-    D = pg.grid.domain
-    if not D.contains(x):
-        raise ValueError("source point must lie inside the domain")
-    zz = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(D.contains(zz)):
-        raise ValueError("evaluation points of the exit density must lie outside the domain")
-    gw = pg.row(x) * pg.grid.weights
-    vals = pg.green.model.nu(np.abs(zz[:, None] - pg.grid.nodes[None, :])) @ gw
-    return float(vals[0]) if np.ndim(z) == 0 else vals.reshape(np.shape(z))
+    return exit_density(pg.grid.domain, pg.green.model, x, pg.grid.nodes,
+                        pg.row(x) * pg.grid.weights, z)
 
 
 def perturbed_poisson_mass(pg: PerturbedGreen, x: float) -> float:
-    gw = pg.row(x) * pg.grid.weights
-    return complement_mass(pg.grid.domain, pg.green.model, pg.grid.nodes, gw)
+    return complement_mass(pg.grid.domain, pg.green.model, pg.grid.nodes,
+                           pg.row(x) * pg.grid.weights)

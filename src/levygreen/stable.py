@@ -71,11 +71,10 @@ def exit_time_constant(alpha: float) -> float:
 
 def mean_exit_time(alpha: float, interval, x):
     """Mean exit time of the stable process from an interval, vectorized in x."""
-    a, b = float(interval[0]), float(interval[1])
-    center, radius = 0.5 * (a + b), 0.5 * (b - a)
-    u = (np.asarray(x, dtype=float) - center)
-    inside = np.abs(u) < radius
-    val = np.where(inside, exit_time_constant(alpha) * np.maximum(radius ** 2 - u ** 2, 0.0) ** (alpha / 2.0), 0.0)
+    u, radius = _to_unit(interval, x)
+    inside = np.abs(u) < 1.0
+    val = np.where(inside, exit_time_constant(alpha) * radius ** alpha
+                   * np.maximum((1.0 - u) * (1.0 + u), 0.0) ** (alpha / 2.0), 0.0)
     return val if val.ndim else float(val)
 
 
@@ -121,14 +120,12 @@ def center_occupation(alpha: float, s):
     return out if out.ndim else float(out)
 
 
-def _to_unit(interval, x, y):
-    """Affine reduction of an interval to (-1, 1): broadcast (u, v) and the half-length."""
+def _to_unit(interval, *points):
+    """Affine reduction of an interval to (-1, 1): the broadcast points, then the half-length."""
     a, b = float(interval[0]), float(interval[1])
     center, radius = 0.5 * (a + b), 0.5 * (b - a)
-    u = (np.asarray(x, dtype=float) - center) / radius
-    v = (np.asarray(y, dtype=float) - center) / radius
-    u, v = np.broadcast_arrays(u, v)
-    return u, v, radius
+    scaled = [(np.asarray(p, dtype=float) - center) / radius for p in points]
+    return (*np.broadcast_arrays(*scaled), radius)
 
 
 def green_interval(alpha: float, interval, x, y):

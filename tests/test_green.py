@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import betainc
 
 from levygreen import green, kernels, models, stable
 from levygreen.geometry import delta, interval_union
@@ -207,6 +208,14 @@ def test_poisson_mass_two_interval(numeric15):
     assert green.poisson_mass(numeric15, 0.5) == pytest.approx(1.0, abs=1e-3)
 
 
+def test_complement_mass_refuses_models_without_closed_forms(unit_interval):
+    y, gw = np.array([-0.5, 0.0, 0.5]), np.full(3, 0.4)
+    for model in (models.truncated_stable_model(1.5, 0.3),
+                  models.stable_mixture_model([1.3, 1.7], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="closed forms exist only for the stable family"):
+            green.complement_mass(unit_interval, model, y, gw)
+
+
 def test_poisson_symmetric_source(oracle15):
     assert green.poisson_kernel(oracle15, 0.0, 1.3) == pytest.approx(
         green.poisson_kernel(oracle15, 0.0, -1.3), rel=1e-12)
@@ -329,3 +338,17 @@ def test_exit_cdf_monotone(oracle15, unit_interval):
     assert np.all(np.diff(F) >= -1e-12)
     assert cdf(-900.0) < 0.02 and cdf(900.0) > 0.98
     assert cdf(0.0) == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.75, 1.9])
+def test_exit_law_cdf_matches_closed_form_law(alpha, unit_interval):
+    # exit law of (-1, 1) from the centre (Blumenthal, Getoor and Ray 1961):
+    # F(q) = 1/2 + 1/2 I_{(q-1)(q+1)/q^2}(1 - alpha/2, alpha/2) for q > 1 and
+    # F(-q) = 1 - F(q); at alpha 1.9 about 8.5 % of the law lies within one
+    # ulp of each endpoint, which the cdf must keep
+    cdf = green.exit_law_cdf(lambda z: stable.poisson_interval(alpha, (-1.0, 1.0), 0.0, z),
+                             unit_interval)
+    q = np.append(1.0 + np.geomspace(1e-15, 1e3, 200), np.nextafter(1.0, 2.0))
+    exact = 0.5 + 0.5 * betainc(1.0 - alpha / 2.0, alpha / 2.0, (q - 1.0) * (q + 1.0) / q ** 2)
+    assert np.max(np.abs(cdf(q) - exact)) <= 1e-3
+    assert np.max(np.abs(cdf(-q) - (1.0 - exact))) <= 1e-3
