@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,23 @@ def _csv_header(fh, digest: str, **extra) -> None:
     fh.write(f"# config_sha256={digest}\n# version={__version__}\n")
     for k, v in extra.items():
         fh.write(f"# {k}={v}\n")
+
+
+def _reprs(a) -> list[str]:
+    """``repr`` of each entry as a Python float or int: the CSV cell text."""
+    return list(map(repr, np.asarray(a).tolist()))
+
+
+def _write_rows(fh, *columns) -> None:
+    """Write the zipped columns of cell strings as comma-separated lines."""
+    fh.write("".join([",".join(row) + "\n" for row in zip(*columns)]))
+
+
+def _write_grid_rows(fh, nodes, *matrices) -> None:
+    """One line ``x,y,A[i,j],B[i,j],...`` per node pair, written a row i at a time."""
+    ys = _reprs(nodes)
+    for x, *rows in zip(ys, *matrices):
+        _write_rows(fh, repeat(x), ys, *map(_reprs, rows))
 
 
 def _green_for(model, domain, n_nodes):
@@ -158,15 +176,12 @@ def cmd_perturb(cfg: dict, digest: str, out: Path, args) -> int:
     _write_json(out / "comparability.json",
                 {**_meta(digest, domain=domain.intervals, model=model.describe(),
                          drift=drift.describe()), "report": rep.to_dict()})
+    ratios = pg.ratios()
     with open(out / "ratios.csv", "w") as fh:
         _csv_header(fh, digest, drift=drift.label)
         fh.write("x,y,G,Gt,ratio\n")
-        r = pg.ratios()
-        for i in range(grid.n):
-            for j in range(grid.n):
-                fh.write(f"{float(grid.nodes[i])!r},{float(grid.nodes[j])!r},"
-                         f"{float(pg.unperturbed[i, j])!r},{float(pg.matrix[i, j])!r},{float(r[i, j])!r}\n")
-    svgplot.heatmap(out / "ratio_heatmap.svg", pg.ratios(),
+        _write_grid_rows(fh, grid.nodes, pg.unperturbed, pg.matrix, ratios)
+    svgplot.heatmap(out / "ratio_heatmap.svg", ratios,
                     title=f"perturbed/unperturbed ratio (C={rep.constant:.4g})")
     print(f"comparability constant C = {rep.constant:.6g} "
           f"(ratios in [{rep.inf:.4g}, {rep.sup:.4g}], kappa={rep.kappa_disc:.4g})")
@@ -194,8 +209,7 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
                     model=json.dumps(model.describe()), domain=json.dumps(domain.intervals),
                     drift=drift.label, source=x0)
         fh.write("center,width,value,se\n")
-        for c, w, v, s in zip(bins.centers, bins.widths, val, se):
-            fh.write(f"{float(c)!r},{float(w)!r},{float(v)!r},{float(s)!r}\n")
+        _write_rows(fh, *map(_reprs, (bins.centers, bins.widths, val, se)))
     counts, edges = np.histogram(sample.exit_pos, bins=80,
                                  range=(domain.intervals[0][0] - 2 * domain.diam,
                                         domain.intervals[-1][1] + 2 * domain.diam))
@@ -204,8 +218,7 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
                     model=json.dumps(model.describe()),
                     domain=json.dumps(domain.intervals), drift=drift.label, source=x0)
         fh.write("left_edge,right_edge,count\n")
-        for k in range(len(counts)):
-            fh.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}\n")
+        _write_rows(fh, _reprs(edges[:-1]), _reprs(edges[1:]), _reprs(counts))
     _write_json(out / "mc_estimates.json",
                 {**_meta(digest, seed=seed, dt=config.dt, paths=config.n_paths),
                  "engine": sample.engine,

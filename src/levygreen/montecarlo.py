@@ -32,6 +32,7 @@ runs are reproducible bit for bit for a fixed seed and chunk size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -115,14 +116,18 @@ class BinGrid:
     def widths(self) -> np.ndarray:
         return np.concatenate([np.diff(e) for e in self.edges])
 
+    @cached_property
+    def _lookup(self) -> tuple:
+        ends = np.array(self.domain.intervals)
+        return (ends[:, 0], ends[:, 1] - ends[:, 0],
+                np.array([len(e) - 1 for e in self.edges]), np.array(self.offsets))
+
     def index(self, x: np.ndarray) -> np.ndarray:
         """Global bin index for in-domain positions (undefined outside)."""
-        idx = np.zeros(x.shape, dtype=np.int64)
-        for (a, b), e, off in zip(self.domain.intervals, self.edges, self.offsets):
-            sel = (x > a) & (x < b)
-            k = len(e) - 1
-            idx[sel] = off + np.minimum((((x[sel] - a) / (b - a)) * k).astype(np.int64), k - 1)
-        return idx
+        a, length, k, off = self._lookup
+        c = np.searchsorted(a, x) - 1       # component: the last left end below x
+        k = k[c]
+        return off[c] + np.minimum((((x - a[c]) / length[c]) * k).astype(np.int64), k - 1)
 
 
 def make_bins(D: C11Set, width: float) -> BinGrid:
@@ -274,9 +279,12 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
         censored = 0
         x = np.full(m, float(x0))
         alive = np.arange(m)
-        t_acc = np.zeros(m)
+        t_acc = np.zeros(m)                 # elapsed time of each alive path
         ctau = np.empty(m)
         cpos = np.empty(m)
+        if occ_chunk is not None:
+            occ_flat = occ_chunk.reshape(-1)    # view: path p, bin k at p*n_bins + k
+            idx = bins.index(x)                 # bin of each alive path at its step start
         while len(alive):
             dist = np.asarray(delta(D, x), dtype=float)
             dtv = config.dt * np.minimum(
@@ -284,25 +292,29 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
             if occ_chunk is not None:
                 # trapezoidal attribution in time: half the step at its start,
                 # half at its end if the path is still inside
-                occ_chunk[alive, bins.index(x)] += 0.5 * dtv
+                occ_flat[alive * bins.n_bins + idx] += 0.5 * dtv
             bx = np.asarray(b(x), dtype=float)
             if not np.all(np.isfinite(bx)):
                 raise FloatingPointError("drift evaluated to a non-finite value on a path")
             x_new = x + bx * dtv + draw(rng, dtv, len(alive))
-            t_acc[alive] += dtv
-            out = ~D.contains(x_new)
-            if occ_chunk is not None and np.any(~out):
-                occ_chunk[alive[~out], bins.index(x_new[~out])] += 0.5 * dtv[~out]
-            hit_cap = t_acc[alive] >= cap_time
-            finish = out | hit_cap
+            t_acc += dtv
+            inside = D.contains(x_new)
+            if occ_chunk is not None:
+                idx = bins.index(x_new[inside])
+                occ_flat[alive[inside] * bins.n_bins + idx] += 0.5 * dtv[inside]
+            hit_cap = t_acc >= cap_time
+            finish = ~inside | hit_cap
             if np.any(finish):
                 fin = alive[finish]
-                ctau[fin] = t_acc[fin]
+                ctau[fin] = t_acc[finish]
                 cpos[fin] = x_new[finish]
-                censored += int(np.count_nonzero(hit_cap & ~out))
+                censored += int(np.count_nonzero(hit_cap & inside))
             keep = ~finish
             alive = alive[keep]
             x = x_new[keep]
+            t_acc = t_acc[keep]
+            if occ_chunk is not None:
+                idx = idx[keep[inside]]     # end-of-step bins are next step's start bins
         return ctau, cpos, censored
 
     tau, exit_pos, occ, occ_sq, censored = _run_chunks(

@@ -1,7 +1,9 @@
 """Minimal static SVG figures: kernel curves, ratio heatmaps, histograms.
 
 Hand-rolled markup keeps the outputs byte-reproducible for identical
-inputs, which the reporting contract requires.
+inputs, which the reporting contract requires.  The heatmap, one ``<rect>``
+per matrix cell, colours all cells with array arithmetic and streams them to
+the file one matrix row at a time, so it never holds the whole markup.
 """
 
 from __future__ import annotations
@@ -59,30 +61,36 @@ def line_plot(path, xs, series: dict, title: str = "", logy: bool = False,
 
 def heatmap(path, matrix, title: str = "", v_lo: float | None = None,
             v_hi: float | None = None) -> None:
-    """Color-cell heatmap of a matrix (blue low, white mid, red high)."""
+    """Color-cell heatmap of a matrix (blue low, white mid, red high).
+
+    A cell whose colour is undefined (NaN, or an infinite cell when the range
+    comes from the matrix) raises ``ValueError`` before the file opens.
+    """
     M = np.asarray(matrix, dtype=float)
     v_lo = float(np.min(M)) if v_lo is None else v_lo
     v_hi = float(np.max(M)) if v_hi is None else v_hi
     n, m = M.shape
     cw = (_W - 2 * _PAD) / m
     ch = (_H - 2 * _PAD) / n
-    parts = _axes(title)
     span = max(v_hi - v_lo, 1e-300)
-    for i in range(n):
-        for j in range(m):
-            t = (M[i, j] - v_lo) / span
-            t = min(max(t, 0.0), 1.0)
-            if t < 0.5:
-                r, g, b = int(255 * 2 * t), int(255 * 2 * t), 255
-            else:
-                r, g, b = 255, int(255 * 2 * (1 - t)), int(255 * 2 * (1 - t))
-            parts.append(f'<rect x="{_PAD + j * cw:.2f}" y="{_PAD + i * ch:.2f}" '
-                         f'width="{cw:.2f}" height="{ch:.2f}" fill="rgb({r},{g},{b})"/>')
-    parts.append(f'<text x="{_PAD}" y="{_H - 12}" font-size="11" '
-                 f'font-family="sans-serif">range [{v_lo:.4g}, {v_hi:.4g}]</text>')
-    parts.append("</svg>")
+    t = np.minimum(np.maximum((M - v_lo) / span, 0.0), 1.0)
+    if np.isnan(t).any():
+        raise ValueError("heatmap: a cell has no colour (NaN after scaling)")
+    # colour code k < 256: rgb(k,k,255) from int(510 t); k >= 256: rgb(255,j,j)
+    # with j = k - 256 from int(510 (1 - t)); the same products as per cell
+    low = t < 0.5
+    code = np.where(low, 510 * t, 510 * (1 - t)).astype(np.int64) + np.where(low, 0, 256)
+    fills = [f'rgb({k},{k},255)"/>' for k in range(256)] + \
+            [f'rgb(255,{k},{k})"/>' for k in range(256)]
+    cols = [f'\n<rect x="{_PAD + j * cw:.2f}" y="' for j in range(m)]
+    size = f'" width="{cw:.2f}" height="{ch:.2f}" fill="'
     with open(path, "w") as fh:
-        fh.write("\n".join(parts))
+        fh.write("\n".join(_axes(title)))
+        for i, row in enumerate(code.tolist()):
+            rest = f"{_PAD + i * ch:.2f}{size}"
+            fh.write("".join([c + rest + fills[k] for c, k in zip(cols, row)]))
+        fh.write(f'\n<text x="{_PAD}" y="{_H - 12}" font-size="11" '
+                 f'font-family="sans-serif">range [{v_lo:.4g}, {v_hi:.4g}]</text>\n</svg>')
 
 
 def histogram(path, edges, counts, title: str = "") -> None:

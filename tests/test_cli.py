@@ -69,6 +69,25 @@ def test_mc_reproducibility_byte_identical(tmp_path, cfg_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_perturb_reproducibility_byte_identical(tmp_path):
+    cfg = dict(SMALL_CFG, domain={"intervals": [[-1.0, -0.2], [0.2, 1.0]]},
+               drift={"family": "sin", "amplitude": 1.0, "frequency": 5.0},
+               grid={"nodes_per_component": 40})
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["perturb", "--config", str(p), "--out", str(out1)]) == 0
+    assert main(["perturb", "--config", str(p), "--out", str(out2)]) == 0
+    for name in ("ratios.csv", "ratio_heatmap.svg"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    rows = [ln for ln in (out1 / "ratios.csv").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert rows[0] == "x,y,G,Gt,ratio"
+    n = int(round(np.sqrt(len(rows) - 1)))
+    assert n * n == len(rows) - 1
+    assert (out1 / "ratio_heatmap.svg").read_text().count("<rect ") == n * n + 1
+
+
 def test_mc_seed_override_changes_output(tmp_path, cfg_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["mc", "--config", cfg_path, "--out", str(out1)])

@@ -52,6 +52,87 @@ def test_bins_cover_domain_exactly(two_interval):
     assert np.all((idx >= 0) & (idx < bins.n_bins))
 
 
+def _bin_index_oracle(bins, x):
+    """Per-component bin lookup, one mask per interval."""
+    idx = np.zeros(x.shape, dtype=np.int64)
+    for (a, b), e, off in zip(bins.domain.intervals, bins.edges, bins.offsets):
+        sel = (x > a) & (x < b)
+        k = len(e) - 1
+        idx[sel] = off + np.minimum((((x[sel] - a) / (b - a)) * k).astype(np.int64), k - 1)
+    return idx
+
+
+def test_bin_index_matches_per_component_lookup():
+    D = interval_union((-1.0, -0.3), (0.1, 0.4), (0.6, 1.2))
+    bins = mc.make_bins(D, 0.05)
+    rng = np.random.default_rng(4)
+    x = np.concatenate([rng.uniform(a, b, 2000) for a, b in D.intervals]
+                       + [np.nextafter(iv, np.mean(iv)) for iv in D.intervals]
+                       + [e[1:-1] for e in bins.edges])
+    x = x[D.contains(x)]
+    assert np.array_equal(bins.index(x), _bin_index_oracle(bins, x))
+
+
+def _euler_two_lookups(model, b, D, x0, config):
+    """The Euler loop with a fresh bin lookup at both ends of every step."""
+    bins = mc.make_bins(D, config.bin_width)
+    draw, _ = mc._jump_sampler(model, config.small_jump_cutoff)
+    alpha_eff = model.alpha if model.alpha is not None else 1.5
+    cap_time = config.time_cap
+    if cap_time is None:
+        cap_time = 200.0 * (D.diam / 2.0) ** alpha_eff
+    d_ref = config.ref_frac * D.r0
+    d_floor = config.floor_frac * D.r0
+
+    def walk_chunk(m, rng, occ_chunk):
+        censored = 0
+        x = np.full(m, float(x0))
+        alive = np.arange(m)
+        t_acc = np.zeros(m)
+        ctau = np.empty(m)
+        cpos = np.empty(m)
+        while len(alive):
+            dist = np.asarray(mc.delta(D, x), dtype=float)
+            dtv = config.dt * np.minimum(
+                np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha_eff
+            occ_chunk[alive, _bin_index_oracle(bins, x)] += 0.5 * dtv
+            x_new = x + np.asarray(b(x), dtype=float) * dtv + draw(rng, dtv, len(alive))
+            t_acc[alive] += dtv
+            out = ~D.contains(x_new)
+            if np.any(~out):
+                occ_chunk[alive[~out], _bin_index_oracle(bins, x_new[~out])] += 0.5 * dtv[~out]
+            hit_cap = t_acc[alive] >= cap_time
+            finish = out | hit_cap
+            if np.any(finish):
+                fin = alive[finish]
+                ctau[fin] = t_acc[fin]
+                cpos[fin] = x_new[finish]
+                censored += int(np.count_nonzero(hit_cap & ~out))
+            keep = ~finish
+            alive = alive[keep]
+            x = x_new[keep]
+        return ctau, cpos, censored
+
+    return mc._run_chunks(config, bins.n_bins, True, walk_chunk)
+
+
+@pytest.mark.parametrize("case", ["drift", "time-cap"])
+def test_euler_sample_matches_two_lookup_loop(stable15, case):
+    if case == "drift":
+        D, b, x0 = interval_union((-1.0, -0.3), (0.1, 0.4), (0.6, 1.2)), sin_drift(1.0, 5.0), 0.2
+        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=21, bin_width=0.05, chunk=600)
+    else:
+        D, b, x0 = interval_union((-1.0, 1.0)), ZERO, 0.3
+        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=22, bin_width=0.1, time_cap=0.05)
+    s = mc._euler_exit(stable15, b, D, x0, cfg)
+    tau, exit_pos, occ, occ_sq, censored = _euler_two_lookups(stable15, b, D, x0, cfg)
+    assert (case == "time-cap") == (censored > 0)
+    assert s.censored == censored
+    for new, old in ((s.tau, tau), (s.exit_pos, exit_pos), (s.occupation, occ),
+                     (s.occupation_sq, occ_sq)):
+        assert new.tobytes() == old.tobytes()
+
+
 def test_exit_probability_symmetric(stable15, unit_interval):
     for engine, simulate in ENGINES.items():
         s = simulate(stable15, ZERO, unit_interval, 0.0,

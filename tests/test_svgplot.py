@@ -1,0 +1,135 @@
+"""Byte oracles for the row-at-a-time writers of ``perturb``'s artifacts.
+
+The oracles are the earlier per-cell loops, kept verbatim: the heatmap of
+``svgplot.heatmap`` and the ``ratios.csv`` rows of ``cli.cmd_perturb``.
+"""
+
+import io
+
+import numpy as np
+import pytest
+
+from levygreen import cli, svgplot
+from levygreen.svgplot import _H, _PAD, _W, _axes
+
+
+def heatmap_oracle(path, matrix, title: str = "", v_lo: float | None = None,
+                   v_hi: float | None = None) -> None:
+    """Color-cell heatmap of a matrix (blue low, white mid, red high)."""
+    M = np.asarray(matrix, dtype=float)
+    v_lo = float(np.min(M)) if v_lo is None else v_lo
+    v_hi = float(np.max(M)) if v_hi is None else v_hi
+    n, m = M.shape
+    cw = (_W - 2 * _PAD) / m
+    ch = (_H - 2 * _PAD) / n
+    parts = _axes(title)
+    span = max(v_hi - v_lo, 1e-300)
+    for i in range(n):
+        for j in range(m):
+            t = (M[i, j] - v_lo) / span
+            t = min(max(t, 0.0), 1.0)
+            if t < 0.5:
+                r, g, b = int(255 * 2 * t), int(255 * 2 * t), 255
+            else:
+                r, g, b = 255, int(255 * 2 * (1 - t)), int(255 * 2 * (1 - t))
+            parts.append(f'<rect x="{_PAD + j * cw:.2f}" y="{_PAD + i * ch:.2f}" '
+                         f'width="{cw:.2f}" height="{ch:.2f}" fill="rgb({r},{g},{b})"/>')
+    parts.append(f'<text x="{_PAD}" y="{_H - 12}" font-size="11" '
+                 f'font-family="sans-serif">range [{v_lo:.4g}, {v_hi:.4g}]</text>')
+    parts.append("</svg>")
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))
+
+
+def ratios_oracle(fh, nodes, unperturbed, matrix, r) -> None:
+    for i in range(len(nodes)):
+        for j in range(len(nodes)):
+            fh.write(f"{float(nodes[i])!r},{float(nodes[j])!r},"
+                     f"{float(unperturbed[i, j])!r},{float(matrix[i, j])!r},{float(r[i, j])!r}\n")
+
+
+def _same_heatmap(tmp_path, M, **kw):
+    heatmap_oracle(tmp_path / "oracle.svg", M, **kw)
+    svgplot.heatmap(tmp_path / "new.svg", M, **kw)
+    return (tmp_path / "oracle.svg").read_bytes() == (tmp_path / "new.svg").read_bytes()
+
+
+def test_heatmap_colour_at_the_midpoint(tmp_path):
+    # the middle cell sits at exactly t = 0.5, the red branch's white
+    M = np.array([[0.0, 0.5, 1.0], [0.25, 0.5 - 2 ** -54, 0.75]])
+    assert _same_heatmap(tmp_path, M, title="mid")
+    assert 'fill="rgb(255,255,255)"' in (tmp_path / "new.svg").read_text()
+
+
+def test_heatmap_clipped_by_explicit_range(tmp_path):
+    M = np.linspace(-3.0, 3.0, 35).reshape(5, 7)
+    assert _same_heatmap(tmp_path, M, v_lo=-1.0, v_hi=2.0)
+    assert _same_heatmap(tmp_path, M, v_lo=1.0)
+    assert _same_heatmap(tmp_path, M, v_hi=-2.5)
+    # an infinite cell inside an explicit range is clipped, as per cell
+    M[2, 3], M[0, 0] = np.inf, -np.inf
+    assert _same_heatmap(tmp_path, M, v_lo=-1.0, v_hi=2.0)
+
+
+def test_heatmap_shapes_and_tiny_values(tmp_path):
+    assert _same_heatmap(tmp_path, np.array([[1.7]]))
+    rng = np.random.default_rng(3)
+    assert _same_heatmap(tmp_path, rng.random((4, 11)), title="wide")
+    assert _same_heatmap(tmp_path, rng.random((13, 2)), title="tall")
+    assert _same_heatmap(tmp_path, np.array([[-0.0, 1e-05], [5e-324, 0.0]]))
+    # a ratio field in the range perturb writes
+    R = 1.0 + 0.05 * np.sin(np.add.outer(np.arange(37.0), 2.0 * np.arange(29.0)))
+    assert _same_heatmap(tmp_path, R)
+
+
+@pytest.mark.parametrize("kw", [{}, {"v_lo": 0.0, "v_hi": 1.0}])
+def test_heatmap_nan_cell_raises_before_writing(tmp_path, kw):
+    M = np.ones((3, 3))
+    M[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        heatmap_oracle(tmp_path / "oracle.svg", M, **kw)
+    with pytest.raises(ValueError):
+        svgplot.heatmap(tmp_path / "new.svg", M, **kw)
+    assert not (tmp_path / "oracle.svg").exists()
+    assert not (tmp_path / "new.svg").exists()
+
+
+def test_heatmap_infinite_cell_without_range_raises(tmp_path):
+    M = np.ones((2, 2))
+    M[0, 1] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        heatmap_oracle(tmp_path / "oracle.svg", M)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        svgplot.heatmap(tmp_path / "new.svg", M)
+    assert not (tmp_path / "new.svg").exists()
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_ratio_rows_match_per_cell_writer(n):
+    rng = np.random.default_rng(n)
+    nodes = np.sort(rng.uniform(-1.0, 1.0, n))
+    nodes[0] = -0.0
+    if n > 2:
+        nodes[1], nodes[2] = 5e-324, 1e-05
+    G = rng.random((n, n))
+    G[0, 0] = 1e-05
+    Gt = G * (1.0 + 0.1 * rng.standard_normal((n, n)))
+    Gt[-1, 0] = -0.0
+    Gt[0, -1] = 5e-324
+    R = Gt / G
+    old, new = io.StringIO(), io.StringIO()
+    ratios_oracle(old, nodes, G, Gt, R)
+    cli._write_grid_rows(new, nodes, G, Gt, R)
+    assert new.getvalue() == old.getvalue()
+    assert new.getvalue().startswith("-0.0,-0.0,1e-05,")
+
+
+def test_rows_writer_matches_per_element_writer():
+    # the exit-law rows of ``mc``: float edges and integer counts
+    edges = np.array([-0.0, 1e-05, 5e-324, 0.1 + 0.2, 2.5])
+    counts = np.array([0, 3, 12345, 7], dtype=np.int64)
+    old, new = io.StringIO(), io.StringIO()
+    for k in range(len(counts)):
+        old.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}\n")
+    cli._write_rows(new, cli._reprs(edges[:-1]), cli._reprs(edges[1:]), cli._reprs(counts))
+    assert new.getvalue() == old.getvalue()
