@@ -3,8 +3,9 @@
 Subcommands: kernels | green | perturb | mc | kato | report.  Every output
 file embeds the config hash and the toolkit version; rerunning a command
 with the same config and seed reproduces the numeric content byte for byte
-(single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error;
-green, perturb and report refuse every model family but ``stable`` with 2.
+(single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error,
+raised before any artifact is written; green, perturb and report refuse every
+model family but ``stable`` with 2.
 """
 
 from __future__ import annotations
@@ -49,15 +50,23 @@ def _parse_domain(cfg: dict) -> C11Set:
 def _parse_model(cfg: dict):
     try:
         return models.model_from_config(cfg["model"])
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad model section: {exc}") from exc
 
 
 def _parse_drift(cfg: dict):
     try:
         return kato_mod.drift_from_config(cfg.get("drift", {"family": "zero"}))
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad drift section: {exc}") from exc
+
+
+def _parse_source(cfg: dict, domain: C11Set):
+    """The source point, by default the midpoint of the first interval; it must lie in D."""
+    x0 = cfg.get("source", 0.5 * sum(domain.intervals[0]))
+    if not isinstance(x0, (int, float)) or not domain.contains(x0):
+        raise ConfigError(f"source {x0!r} is not a point of the domain")
+    return x0
 
 
 def _meta(digest: str, **extra) -> dict:
@@ -124,7 +133,7 @@ def cmd_kernels(cfg: dict, digest: str, out: Path, args) -> int:
     _write_json(out / "kernel_invariants.json", {**_meta(digest), "checks": rep})
     svgplot.line_plot(out / "kernels.svg", table.r,
                       {"h": table.h, "V": table.V, "M": table.M, "K": table.K},
-                      title="kernel hierarchy", logx=True, logy=True)
+                      title="kernel hierarchy")
     print(f"kernel table: {len(table.r)} points, invariants "
           f"{'pass' if rep['all_pass'] else 'FAIL'}")
     return 0 if rep["all_pass"] else 1
@@ -133,6 +142,7 @@ def cmd_kernels(cfg: dict, digest: str, out: Path, args) -> int:
 def cmd_green(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
+    x0 = _parse_source(cfg, domain)
     n = args.grid or cfg.get("grid", {}).get("checker_grid", 100)
     G = _green_for(model, domain, 160)
     table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
@@ -146,7 +156,6 @@ def cmd_green(cfg: dict, digest: str, out: Path, args) -> int:
         "three_g_triples", 20000), seed=seed)
     records.append({"check": "three_g", "n": tri.n, "sup": tri.sup, "inf": None,
                     "grid": None})
-    x0 = cfg.get("source", 0.5 * sum(domain.intervals[0]))
     mass = green.poisson_mass(G, x0)
     records.append({"check": "poisson_mass", "n": None, "sup": mass, "inf": mass,
                     "grid": None})
@@ -170,8 +179,7 @@ def cmd_perturb(cfg: dict, digest: str, out: Path, args) -> int:
     n = args.grid or cfg.get("grid", {}).get("nodes_per_component", 200)
     G = _green_for(model, domain, n)
     grid = perturbation.build_grid(domain, n, model.alpha)
-    pg = perturbation.solve_perturbed(G, drift, grid,
-                                      mode=cfg.get("mode", "direct"))
+    pg = perturbation.solve_perturbed(G, drift, grid)
     rep = perturbation.comparability_report(pg)
     _write_json(out / "comparability.json",
                 {**_meta(digest, domain=domain.intervals, model=model.describe(),
@@ -194,10 +202,13 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
     drift = _parse_drift(cfg)
     mcc = cfg.get("mc", {})
     seed = args.seed if args.seed is not None else mcc.get("seed", 0)
-    config = mc_mod.PathConfig(
-        dt=mcc.get("dt", 1e-3), n_paths=mcc.get("paths", 10_000), seed=seed,
-        bin_width=mcc.get("bin_width", 0.05))
-    x0 = cfg.get("source", 0.5 * sum(domain.intervals[0]))
+    try:
+        config = mc_mod.PathConfig(
+            dt=mcc.get("dt", 1e-3), n_paths=mcc.get("paths", 10_000), seed=seed,
+            bin_width=mcc.get("bin_width", 0.05))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad mc section: {exc}") from exc
+    x0 = _parse_source(cfg, domain)
     try:
         bins, val, se, sample = mc_mod.mc_green(model, drift, domain, x0, config)
     except FloatingPointError as exc:
@@ -210,9 +221,7 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
                     drift=drift.label, source=x0)
         fh.write("center,width,value,se\n")
         _write_rows(fh, *map(_reprs, (bins.centers, bins.widths, val, se)))
-    counts, edges = np.histogram(sample.exit_pos, bins=80,
-                                 range=(domain.intervals[0][0] - 2 * domain.diam,
-                                        domain.intervals[-1][1] + 2 * domain.diam))
+    counts, edges = mc_mod.exit_histogram(sample.exit_pos, domain)
     with open(out / "mc_exit_law.csv", "w") as fh:
         _csv_header(fh, digest, seed=seed, dt=config.dt, paths=config.n_paths,
                     model=json.dumps(model.describe()),
@@ -236,8 +245,7 @@ def cmd_kato(cfg: dict, digest: str, out: Path, args) -> int:
     domain = _parse_domain(cfg)
     drift = _parse_drift(cfg)
     table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
-    tol = cfg.get("tolerances", {}).get("kato", 4.0)
-    cert = kato_mod.is_kato(drift, table, tol=tol)
+    cert = kato_mod.is_kato(drift, table)
     _write_json(out / "kato_certificate.json", {**_meta(digest), **cert.to_dict()})
     print(f"kato certificate: {'PASS' if cert.passed else 'FAIL'} "
           f"(moduli {', '.join(f'{m:.3g}' for m in cert.moduli)})")
@@ -249,6 +257,7 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
     drift = _parse_drift(cfg)
+    x0 = _parse_source(cfg, domain)
     n = args.grid or cfg.get("grid", {}).get("nodes_per_component", 160)
     lines: list[tuple[str, bool, str]] = []
 
@@ -257,7 +266,6 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
     inv = kernels.check_table_invariants(table)
     lines.append(("kernel invariants", inv["all_pass"], ""))
 
-    x0 = cfg.get("source", 0.5 * sum(domain.intervals[0]))
     mass = green.poisson_mass(G, x0)
     lines.append(("exit-density mass = 1 +- 1e-3", abs(mass - 1.0) <= 1e-3,
                   f"mass={mass:.6f}"))
@@ -272,8 +280,7 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
         lines.append(("small-domain regime: C <= 2", small_ok,
                       f"ratios in [{rep.inf:.4f}, {rep.sup:.4f}]"))
 
-    cert = kato_mod.is_kato(drift, table,
-                            tol=cfg.get("tolerances", {}).get("kato", 4.0))
+    cert = kato_mod.is_kato(drift, table)
     lines.append(("drift in the admissible class", cert.passed, ""))
 
     summary = {**_meta(digest, domain=domain.intervals, model=model.describe(),

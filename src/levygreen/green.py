@@ -118,8 +118,8 @@ def green_punctured_line(table: KernelTable, x, y):
     return table.K_at(x) + table.K_at(y) - table.K_at(y - x)
 
 
-def numeric_table_green(alpha: float, domain: C11Set, nodes_per_component: int = 160,
-                        order: int = 6) -> GreenFunction:
+def numeric_table_green(alpha: float, domain: C11Set,
+                        nodes_per_component: int = 160) -> GreenFunction:
     """Green function of a finite interval union for the stable process.
 
     Couples the closed-form single-interval Green and exit kernels: for x in
@@ -130,7 +130,7 @@ def numeric_table_green(alpha: float, domain: C11Set, nodes_per_component: int =
     comps = domain.intervals
     if len(comps) == 1:
         return stable_oracle(alpha, domain)
-    z, w, cid = mesh.graded_components(comps, nodes_per_component, 2.0 / alpha, order)
+    z, w, cid = mesh.graded_components(comps, nodes_per_component, 2.0 / alpha)
     n = len(z)
 
     P = np.zeros((n, n))
@@ -203,9 +203,9 @@ _N_EXTERIOR = 192       # nodes per exterior piece inside the collar
 _LAYER_FRAC = 1e-4      # boundary-layer cutoff as a fraction of r0
 
 
-def _domain_nodes(D: C11Set, splits, n_per_segment: int, grading: float = 8.0,
-                  order: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    """Panels on D split at the given interior points.
+def _domain_nodes(D: C11Set, splits, n_per_segment: int,
+                  grading: float = 8.0) -> tuple[np.ndarray, np.ndarray]:
+    """Order-6 panels on D split at the given interior points.
 
     Every segment end gets the power substitution: component endpoints carry
     algebraic boundary behavior of the kernels, interior split points carry
@@ -216,7 +216,7 @@ def _domain_nodes(D: C11Set, splits, n_per_segment: int, grading: float = 8.0,
     for a, b in D.intervals:
         cuts = sorted({a, b, *(float(s) for s in splits if a < s < b)})
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            zn, wn = mesh.power_panels(lo, hi, grading, n_per_segment, order, "both")
+            zn, wn = mesh.power_panels(lo, hi, grading, n_per_segment, 6, "both")
             nodes.append(zn)
             weights.append(wn)
     return np.concatenate(nodes), np.concatenate(weights)
@@ -419,11 +419,11 @@ def check_poisson_envelope(G: GreenFunction, table: KernelTable, n_samples: int 
             "finite": bool(np.all(np.isfinite(ratios)))}
 
 
-def _graded_axis(D: C11Set, n: int, grading: float = 3.0) -> np.ndarray:
-    """Deterministic evaluation grid clustered at every component endpoint."""
+def _graded_axis(D: C11Set, n: int) -> np.ndarray:
+    """Deterministic evaluation grid clustered at every component endpoint (grading 3)."""
     per = max(4, n // len(D.intervals))
     t = (np.arange(per) + 0.5) / per
-    return np.concatenate([mesh.graded_breaks(a, b, t, grading) for a, b in D.intervals])
+    return np.concatenate([mesh.graded_breaks(a, b, t, 3.0) for a, b in D.intervals])
 
 
 def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200) -> dict:

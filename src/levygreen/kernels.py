@@ -39,36 +39,41 @@ __all__ = [
 
 C_PSI_BRACKET = np.pi ** 2 / 2.0   # h(r) <= C * psi(1/r); the lower factor is 1/2
 _HEAD_SHELLS = 40                   # dyadic shells of (0, r) before the closing pass
+_TOL = 1e-10                        # relative target of every kernel quadrature
+_TAIL_REL = 1e-9                    # Fourier-tail target relative to its magnitude
+_INTERP_SLACK = 1e-6                # extra slack of checks that interpolate the table
+_MAX_PAIRS = 200_000                # pairwise checks sample this many grid pairs at most
+_ENVELOPE_CONSTANT = 10.0           # heat-kernel bracket: value / C .. value * C
 
 
 class KernelQuadratureError(RuntimeError):
     """Raised when a kernel quadrature cannot reach its target tolerance."""
 
 
-def _quad(f, a, b, tol, **kw):
-    val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=tol, limit=400, **kw)
+def _quad(f, a, b, **kw):
+    val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=_TOL, limit=400, **kw)
     if not np.isfinite(val):
         raise KernelQuadratureError(f"non-finite quadrature value on ({a}, {b})")
     return val, err
 
 
-def _fourier_tail(g, kind: str, a: float = 10.0, rel: float = 1e-9) -> tuple[float, float]:
-    """Conditionally convergent Fourier tail int_a^inf g(u) sin/cos(u) du.
+def _fourier_tail(g, kind: str) -> tuple[float, float]:
+    """Conditionally convergent Fourier tail int_10^inf g(u) sin/cos(u) du.
 
     The absolute target must track the magnitude of the result or QUADPACK's
     cycle extrapolation reports spurious non-convergence, so run a coarse
     pass first and re-run with a magnitude-scaled target.
     """
-    val, err = integrate.quad(g, a, np.inf, weight=kind, wvar=1.0,
+    val, err = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0,
                               limit=400, epsabs=1e-8)
     scale = max(abs(val), 1e-3)
-    if err > rel * scale:
-        val, err = integrate.quad(g, a, np.inf, weight=kind, wvar=1.0,
-                                  limit=400, epsabs=rel * scale)
+    if err > _TAIL_REL * scale:
+        val, err = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0,
+                                  limit=400, epsabs=_TAIL_REL * scale)
     return val, err
 
 
-def compute_h(model: LevyModel, r: float, tol: float = 1e-10) -> float:
+def compute_h(model: LevyModel, r: float) -> float:
     """Scale-activity integral h(r) = int (1 ^ x^2/r^2) nu(|x|) dx, r > 0.
 
     Both pieces are integrated over dyadic shells so that densities living
@@ -87,18 +92,18 @@ def compute_h(model: LevyModel, r: float, tol: float = 1e-10) -> float:
     head = err = 0.0
     for k in range(_HEAD_SHELLS):
         lo = r * 0.5 ** (k + 1)
-        piece, e = _quad(head_density, lo, r * 0.5 ** k, tol)
+        piece, e = _quad(head_density, lo, r * 0.5 ** k)
         head += piece
         err += e
         if head > 0.0 and piece <= 1e-15 * head and k >= 4:
             break
-    piece, e = _quad(head_density, 0.0, lo, tol)
+    piece, e = _quad(head_density, 0.0, lo)
     head += piece
     err += e
     tail = 0.0
     zero_run = 0
     for k in range(200):
-        piece, e = _quad(lambda x: model.nu(x), r * 2.0 ** k, r * 2.0 ** (k + 1), tol)
+        piece, e = _quad(lambda x: model.nu(x), r * 2.0 ** k, r * 2.0 ** (k + 1))
         tail += piece
         err += e
         zero_run = zero_run + 1 if piece == 0.0 else 0
@@ -120,12 +125,12 @@ def compute_V(model: LevyModel, r) -> float:
     return _map_scalar(lambda x: 0.0 if x == 0.0 else 1.0 / np.sqrt(compute_h(model, x)), r)
 
 
-def compute_K(model: LevyModel, x, tol: float = 1e-10) -> float:
+def compute_K(model: LevyModel, x) -> float:
     """Compensated potential kernel by oscillatory quadrature; K(0) = 0, even."""
-    return _map_scalar(lambda t: _K_scalar(model, t, tol), x)
+    return _map_scalar(lambda t: _K_scalar(model, t), x)
 
 
-def _K_scalar(model: LevyModel, x: float, tol: float) -> float:
+def _K_scalar(model: LevyModel, x: float) -> float:
     # rescaled to unit frequency: K(x) = (1/pi) int (1 - cos u) / (x psi(u/x)) du,
     # so the oscillatory tail always starts at u = 10 with unit wavenumber
     x = abs(x)
@@ -137,8 +142,8 @@ def _K_scalar(model: LevyModel, x: float, tol: float) -> float:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = _quad(lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 0.0, 10.0, tol)
-        flat, _ = _quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0, tol)
+        head, _ = _quad(lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 0.0, 10.0)
+        flat, _ = _quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0)
         osc, err = _fourier_tail(g, "cos")
     val = (head + flat - osc) / np.pi
     if not np.isfinite(val) or val < 0:
@@ -149,21 +154,21 @@ def _K_scalar(model: LevyModel, x: float, tol: float) -> float:
     return val
 
 
-def compute_dK(model: LevyModel, x, tol: float = 1e-10) -> float:
+def compute_dK(model: LevyModel, x) -> float:
     """Derivative of the compensated kernel: odd, positive on the right half line."""
     if np.any(np.asarray(x) == 0.0):
         raise ValueError("derivative of the compensated kernel is undefined at 0")
-    return _map_scalar(lambda t: np.sign(t) * _dK_scalar(model, abs(t), tol), x)
+    return _map_scalar(lambda t: np.sign(t) * _dK_scalar(model, abs(t)), x)
 
 
-def _dK_scalar(model: LevyModel, x: float, tol: float) -> float:
+def _dK_scalar(model: LevyModel, x: float) -> float:
     # same unit-frequency rescaling as the kernel itself
     def g(u):
         return u / (x * x * model.psi(u / x))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = _quad(lambda u: np.sin(u) * g(u), 0.0, 10.0, tol)
+        head, _ = _quad(lambda u: np.sin(u) * g(u), 0.0, 10.0)
         osc, err = _fourier_tail(g, "sin")
     val = (head + osc) / np.pi
     if not np.isfinite(val):
@@ -184,7 +189,7 @@ class KernelTable:
     """
 
     def __init__(self, model: LevyModel, r: np.ndarray, h: np.ndarray, V: np.ndarray,
-                 M: np.ndarray, K: np.ndarray, dK: np.ndarray, diam: float, tol: float):
+                 M: np.ndarray, K: np.ndarray, dK: np.ndarray, diam: float):
         self.model = model
         self.r = r
         self.h = h
@@ -193,13 +198,10 @@ class KernelTable:
         self.K = K
         self.dK = dK
         self.diam = diam
-        self.quad_tol = tol
         lr = np.log(r)
-        self._h = PchipInterpolator(lr, np.log(h))
         self._V = PchipInterpolator(lr, np.log(V))
         self._M = PchipInterpolator(lr, np.log(M))
         self._K = PchipInterpolator(lr, np.log(K))
-        self._dK = PchipInterpolator(lr, np.log(np.abs(dK)))
         self._Vinv = PchipInterpolator(np.log(V), lr)
         # low-end power behavior, for explicit extension of M below the grid
         k = max(2, len(r) // 16)
@@ -214,9 +216,6 @@ class KernelTable:
                              f"[{self.r[0]:.3e}, {self.r[-1]:.3e}]")
         out = np.exp(interp(np.log(np.clip(arr, self.r[0], self.r[-1]))))
         return out if out.ndim else float(out)
-
-    def h_at(self, r):
-        return self._eval(self._h, r, "h")
 
     def V_at(self, r):
         arr = np.asarray(r, dtype=float)
@@ -247,14 +246,6 @@ class KernelTable:
             out[~zero] = self._eval(self._K, arr[~zero], "K")
         return out if out.ndim else float(out)
 
-    def dK_at(self, x):
-        arr = np.asarray(x, dtype=float)
-        if np.any(arr == 0.0):
-            raise ValueError("derivative of the compensated kernel is undefined at 0")
-        mag = self._eval(self._dK, np.abs(arr), "dK")
-        out = np.sign(arr) * mag
-        return out if np.ndim(out) else float(out)
-
     def V_inverse(self, v):
         arr = np.asarray(v, dtype=float)
         if np.any(arr < self.V[0] * (1 - 1e-12)) or np.any(arr > self.V[-1] * (1 + 1e-12)):
@@ -274,25 +265,25 @@ class KernelTable:
 
 
 def build_table(model: LevyModel, diam: float = 1.0, points_per_decade: int = 128,
-                span: tuple[float, float] = (1e-6, 1e2), tol: float = 1e-10) -> KernelTable:
+                span: tuple[float, float] = (1e-6, 1e2)) -> KernelTable:
     """Tabulate the kernel hierarchy on a geometric grid scaled to the domain size."""
     r_lo, r_hi = span[0] * diam, span[1] * diam
     n = max(8, int(round(points_per_decade * np.log10(r_hi / r_lo))))
     r = np.geomspace(r_lo, r_hi, n)
-    h = np.array([compute_h(model, float(x), tol) for x in r])
+    h = np.array([compute_h(model, float(x)) for x in r])
     V = 1.0 / np.sqrt(h)
     M = V ** 2 / r ** 2
-    K = np.array([_K_scalar(model, float(x), tol) for x in r])
-    dK = np.array([_dK_scalar(model, float(x), tol) for x in r])
-    return KernelTable(model, r, h, V, M, K, dK, diam, tol)
+    K = np.array([_K_scalar(model, float(x)) for x in r])
+    dK = np.array([_dK_scalar(model, float(x)) for x in r])
+    return KernelTable(model, r, h, V, M, K, dK, diam)
 
 
-def heat_kernel_envelope(table: KernelTable, t: float, x, comparability: float = 10.0):
+def heat_kernel_envelope(table: KernelTable, t: float, x):
     """Transition-density envelope f(t,x) = [V^{-1}(sqrt t)]^{-1} ^ t/(V^2(|x|)|x|).
 
-    Returns (value, lower, upper) where the bracket is value scaled by the
-    configured comparability constant; the theory guarantees a finite
-    constant but does not quantify it.
+    Returns (value, lower, upper) where the bracket is value divided and
+    multiplied by 10; the theory guarantees a finite comparability constant
+    but does not quantify it.
     """
     if t <= 0:
         raise ValueError("time must be positive")
@@ -305,19 +296,18 @@ def heat_kernel_envelope(table: KernelTable, t: float, x, comparability: float =
                        np.inf)
     val = np.minimum(near, far)
     val = val if val.ndim else float(val)
-    return val, val / comparability, val * comparability
+    return val, val / _ENVELOPE_CONSTANT, val * _ENVELOPE_CONSTANT
 
 
-def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9,
-                           interp_slack: float = 1e-6,
-                           n_pairs: int = 200_000, seed: int = 0) -> dict:
+def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9) -> dict:
     """Monotonicity and subadditivity checks at tabulated points.
 
     Checks involving only stored grid values use ``rel_slack``; the pairwise
     subadditivity of K must evaluate the kernel between nodes and therefore
-    allows ``interp_slack`` on top (see :func:`check_K_subadditivity_exact`
+    allows a relative 1e-6 on top (see :func:`check_K_subadditivity_exact`
     for the slower interpolation-free variant).  Pairwise checks use every
-    grid pair when the grid is small enough, otherwise a seeded sample.
+    grid pair when there are at most 400 000 of them, otherwise a sample of
+    200 000 pairs drawn with seed 0.
     Returns a report dict with one boolean per invariant plus the empirical
     constants the theory leaves unquantified.
     """
@@ -331,25 +321,25 @@ def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9,
 
     # V(r) <= V(lam r) <= lam V(r) over grid pairs
     n = len(r)
-    if n * (n - 1) // 2 <= 2 * n_pairs:
+    if n * (n - 1) // 2 <= 2 * _MAX_PAIRS:
         ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         keep = ii < jj
         i, j = ii[keep], jj[keep]
     else:
-        rng = np.random.default_rng(seed)
-        i = rng.integers(0, n - 1, n_pairs)
-        j = rng.integers(0, n - 1, n_pairs)
+        rng = np.random.default_rng(0)
+        i = rng.integers(0, n - 1, _MAX_PAIRS)
+        j = rng.integers(0, n - 1, _MAX_PAIRS)
         i, j = np.minimum(i, j), np.maximum(i, j) + 1
     lam = r[j] / r[i]
     rep["V_subadditive_bracket"] = bool(
         np.all(V[j] >= V[i] * (1 - rel_slack))
         and np.all(V[j] <= lam * V[i] * (1 + rel_slack)))
 
-    # K(x + y) <= K(x) + K(y); the sum falls between nodes, hence interp_slack
+    # K(x + y) <= K(x) + K(y); the sum falls between nodes, hence the extra slack
     s = r[i] + r[j]
     okmask = s <= r[-1]
     Ks = table.K_at(s[okmask])
-    rep["K_subadditive"] = bool(np.all(Ks <= (K[i][okmask] + K[j][okmask]) * (1 + interp_slack) + 1e-300))
+    rep["K_subadditive"] = bool(np.all(Ks <= (K[i][okmask] + K[j][okmask]) * (1 + _INTERP_SLACK) + 1e-300))
 
     # |dK| <= C M(r ^ diam-scale), finite empirical constant
     Rcap = max(table.diam, 1.0)
@@ -368,19 +358,19 @@ def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9,
 
 
 def check_K_subadditivity_exact(table: KernelTable, rel_slack: float = 1e-9,
-                                n_cross: int = 512, seed: int = 0) -> bool:
+                                n_cross: int = 512) -> bool:
     """Interpolation-free subadditivity of K at acceptance-grade slack.
 
     Verifies K(2r) <= 2 K(r) at every tabulated point and K(x+y) <= K(x)+K(y)
-    on a seeded sample of grid pairs, with the off-grid kernel value computed
-    by direct quadrature rather than table lookup.
+    on a sample of grid pairs drawn with seed 0, with the off-grid kernel
+    value computed by direct quadrature rather than table lookup.
     """
-    K2 = np.array([_K_scalar(table.model, 2.0 * float(x), table.quad_tol) for x in table.r])
+    K2 = np.array([_K_scalar(table.model, 2.0 * float(x)) for x in table.r])
     if not np.all(K2 <= 2.0 * table.K * (1 + rel_slack)):
         return False
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     i = rng.integers(0, len(table.r), n_cross)
     j = rng.integers(0, len(table.r), n_cross)
-    Ks = np.array([_K_scalar(table.model, float(table.r[a] + table.r[b]), table.quad_tol)
+    Ks = np.array([_K_scalar(table.model, float(table.r[a] + table.r[b]))
                    for a, b in zip(i, j)])
     return bool(np.all(Ks <= (table.K[i] + table.K[j]) * (1 + rel_slack)))

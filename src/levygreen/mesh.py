@@ -49,13 +49,13 @@ def graded_panels(a: float, b: float, n_nodes: int, grading: float = 2.0,
     return nodes, weights
 
 
-def graded_components(intervals, n_per_component: int, grading: float,
-                      order: int = 6) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Graded panels on each interval of a union, concatenated in order.
+def graded_components(intervals, n_per_component: int,
+                      grading: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Graded order-6 panels on each interval of a union, concatenated in order.
 
     Returns nodes, weights and the index of the interval each node lies in.
     """
-    parts = [graded_panels(a, b, n_per_component, grading, order) for a, b in intervals]
+    parts = [graded_panels(a, b, n_per_component, grading) for a, b in intervals]
     comp_id = [np.full(zn.shape, ci, dtype=int) for ci, (zn, _) in enumerate(parts)]
     return (np.concatenate([zn for zn, _ in parts]), np.concatenate([wn for _, wn in parts]),
             np.concatenate(comp_id))

@@ -52,9 +52,6 @@ class LevyModel:
     alpha: float | None = None        # the family's stability index; only "stable" has closed forms
     params: tuple = ()                # hashable family parameters, for caching and reports
 
-    def key(self) -> tuple:
-        return (self.family, self.alpha, self.params)
-
     def describe(self) -> dict:
         return {"family": self.family, "alpha": self.alpha, "params": list(self.params)}
 
@@ -335,12 +332,9 @@ def require_valid_scaling(model: LevyModel, **kwargs) -> ScalingReport:
     return rep
 
 
-def check_unimodal(model: LevyModel, n_grid: int = 256,
-                   r_min: float = 1e-6, r_max: float = 1e2) -> bool:
-    """True iff the jump density is nonincreasing on a geometric radius grid."""
-    if n_grid < 2:
-        raise ValueError("n_grid must be at least 2")
-    r = np.geomspace(r_min, r_max, n_grid)
+def check_unimodal(model: LevyModel) -> bool:
+    """True iff the jump density is nonincreasing on 256 geometric radii in [1e-6, 1e2]."""
+    r = np.geomspace(1e-6, 1e2, 256)
     v = np.asarray(eval_nu(model, r), dtype=float)
     return bool(np.all(np.diff(v) <= 1e-12 * np.maximum(v[:-1], 1e-300)))
 

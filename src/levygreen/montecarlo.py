@@ -10,8 +10,8 @@ option to choose:
   and each ball adds its closed-form expected exit time and bin occupation.
   The recorded ``tau`` of a path is therefore its conditional mean exit
   time given the walk: the mean over paths is unbiased, but the spread of
-  ``tau`` is not the spread of exit times.  ``dt``, ``ref_frac`` and
-  ``floor_frac`` are unused on this route, and nothing is censored.
+  ``tau`` is not the spread of exit times.  ``dt`` is unused on this
+  route, and nothing is censored.
 * **Euler stepping** for every other input: a drift substep, then an exact
   stable increment over the step (the Chambers-Mallows-Stuck transform of
   a uniform and an exponential variate).  With zero drift the discrete
@@ -52,8 +52,12 @@ __all__ = [
     "mc_mean_exit_time",
     "mc_green",
     "mc_exit_law",
+    "exit_histogram",
     "ks_distance",
 ]
+
+_REF_FRAC = 0.25        # boundary distance of full-size Euler steps, in units of r0
+_FLOOR_FRAC = 1e-6      # smallest boundary distance the Euler steps resolve, in r0
 
 
 @dataclass(frozen=True)
@@ -61,13 +65,13 @@ class PathConfig:
     """Simulation controls; bins always tile the domain exactly.
 
     Steps shrink near the boundary: the step at boundary distance d is
-    dt * min(1, (d / (ref_frac r0))^alpha), floored at distance
-    floor_frac * r0.  This keeps the within-step displacement a fixed
-    fraction of the boundary distance, which is what makes exit positions
-    and exit times accurate: the exit law has a fat boundary layer that
-    fixed steps smear at an unacceptable rate.  Near-boundary occupancy is
-    thin, so the extra cost is a small constant factor.  The step controls
-    (dt, ref_frac, floor_frac, time_cap) act on the Euler engine only.
+    dt * min(1, (d / (r0 / 4))^alpha), with d floored at 1e-6 r0.  This
+    keeps the within-step displacement a fixed fraction of the boundary
+    distance, which is what makes exit positions and exit times accurate:
+    the exit law has a fat boundary layer that fixed steps smear at an
+    unacceptable rate.  Near-boundary occupancy is thin, so the extra cost
+    is a small constant factor.  The step controls (dt, time_cap) and the
+    small-jump cutoff of non-stable models act on the Euler engine only.
     """
 
     dt: float
@@ -76,13 +80,13 @@ class PathConfig:
     bin_width: float = 0.05
     time_cap: float | None = None        # None: 200 x the crude exit-time scale
     chunk: int = 20_000
-    small_jump_cutoff: float | None = None   # non-stable models only
-    ref_frac: float = 0.25               # boundary-distance scale of full-size steps
-    floor_frac: float = 1e-6             # smallest resolved boundary distance
+    small_jump_cutoff: float = 1e-2      # non-stable models only
 
     def __post_init__(self):
         if self.dt <= 0 or self.n_paths < 1:
             raise ValueError("need dt > 0 and at least one path")
+        if self.bin_width <= 0:
+            raise ValueError("need bin_width > 0")
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def sample_stable_increment(alpha: float, dt, rng: np.random.Generator,
     return np.asarray(dt) ** (1.0 / alpha) * t1 * t2
 
 
-def _jump_sampler(model: LevyModel, cutoff: float | None):
+def _jump_sampler(model: LevyModel, eps: float):
     """Per-step displacement sampler of the driftless noise, dt vectorized."""
     try:
         alpha = stable_index(model)
@@ -163,8 +167,7 @@ def _jump_sampler(model: LevyModel, cutoff: float | None):
         pass    # no exact increments: approximate route below
     else:
         return (lambda rng, dt, size: sample_stable_increment(alpha, dt, rng, size)), False
-    # approximate route: compound-Poisson above the cutoff, Gaussian below
-    eps = cutoff if cutoff is not None else 1e-2
+    # approximate route: compound-Poisson above the cutoff eps, Gaussian below
     var_small, _ = integrate.quad(lambda z: z * z * model.nu(z), 0.0, eps, limit=200)
     var_small *= 2.0
     rate, _ = integrate.quad(lambda t: model.nu(eps / t) * eps / t ** 2, 0.0, 1.0, limit=200)
@@ -201,7 +204,6 @@ class ExitSample:
     n_paths: int
     censored: int
     approximate_noise: bool
-    config: PathConfig
     engine: str                     # "euler" or "walk-on-spheres"
 
 
@@ -272,8 +274,8 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     cap_time = config.time_cap
     if cap_time is None:
         cap_time = 200.0 * (D.diam / 2.0) ** alpha_eff
-    d_ref = config.ref_frac * D.r0
-    d_floor = config.floor_frac * D.r0
+    d_ref = _REF_FRAC * D.r0
+    d_floor = _FLOOR_FRAC * D.r0
 
     def walk_chunk(m, rng, occ_chunk):
         censored = 0
@@ -320,7 +322,7 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     tau, exit_pos, occ, occ_sq, censored = _run_chunks(
         config, bins.n_bins, track_occupation, walk_chunk)
     return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, censored,
-                      approx, config, "euler")
+                      approx, "euler")
 
 
 _MAX_SWEEPS = 10_000     # a walk still inside after this many balls is an error
@@ -382,7 +384,7 @@ def _walk_on_spheres(alpha: float, D: C11Set, x0: float, config: PathConfig,
     tau, exit_pos, occ, occ_sq, _ = _run_chunks(
         config, bins.n_bins, track_occupation, walk_chunk)
     return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, 0,
-                      False, config, "walk-on-spheres")
+                      False, "walk-on-spheres")
 
 
 def _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass) -> None:
@@ -435,20 +437,20 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
 
 
 def mc_exit_law(model: LevyModel, b: Callable, D: C11Set, x0: float,
-                config: PathConfig, cdf: Callable | None = None,
-                hist_range: tuple[float, float] | None = None,
-                hist_bins: int = 80) -> dict:
+                config: PathConfig, cdf: Callable | None = None) -> dict:
     """Exit-position histogram, plus a KS distance when a reference CDF is given."""
     s = simulate_exit(model, b, D, x0, config, track_occupation=False)
-    return _exit_law(s, D, cdf, hist_range, hist_bins)
+    return _exit_law(s, D, cdf)
 
 
-def _exit_law(s: ExitSample, D: C11Set, cdf: Callable | None = None,
-              hist_range: tuple[float, float] | None = None, hist_bins: int = 80) -> dict:
-    if hist_range is None:
-        lo, hi = D.intervals[0][0], D.intervals[-1][1]
-        hist_range = (lo - 2.0 * D.diam, hi + 2.0 * D.diam)
-    counts, edges = np.histogram(s.exit_pos, bins=hist_bins, range=hist_range)
+def exit_histogram(exit_pos: np.ndarray, D: C11Set) -> tuple[np.ndarray, np.ndarray]:
+    """Counts and edges of exit positions: 80 bins over two diameters beyond D."""
+    lo, hi = D.intervals[0][0], D.intervals[-1][1]
+    return np.histogram(exit_pos, bins=80, range=(lo - 2.0 * D.diam, hi + 2.0 * D.diam))
+
+
+def _exit_law(s: ExitSample, D: C11Set, cdf: Callable | None = None) -> dict:
+    counts, edges = exit_histogram(s.exit_pos, D)
     boundary_hits = int(sum(np.count_nonzero(s.exit_pos == e)
                             for iv in D.intervals for e in iv))
     out = {"edges": edges, "counts": counts, "sample": s, "boundary_hits": boundary_hits}

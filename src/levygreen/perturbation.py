@@ -45,6 +45,9 @@ __all__ = [
     "perturbed_poisson_mass",
 ]
 
+_SOLVE_TOL = 1e-8       # direct-solve residual bound and fixed-point stopping change
+_MAX_SWEEPS = 200       # fixed-point sweeps before giving up
+
 
 @dataclass(frozen=True)
 class NystromGrid:
@@ -65,13 +68,13 @@ class NystromGrid:
         return len(self.nodes)
 
 
-def build_grid(domain: C11Set, n_per_component: int = 200, alpha: float = 1.5,
-               order: int = 6) -> NystromGrid:
+def build_grid(domain: C11Set, n_per_component: int = 200,
+               alpha: float = 1.5) -> NystromGrid:
     # at least the exponent that resolves the boundary factor V(delta), and
     # never below 2, which the quadrature error at the diagonal kink needs
     grading = max(2.0, 2.0 / alpha)
     return NystromGrid(domain, *mesh.graded_components(domain.intervals, n_per_component,
-                                                       grading, order), grading)
+                                                       grading), grading)
 
 
 def _singular_model(grid: NystromGrid, alpha: float) -> np.ndarray:
@@ -163,14 +166,15 @@ class PerturbedGreen:
 
 
 def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid,
-                    mode: str = "direct", tol: float = 1e-8,
-                    max_iter: int = 200) -> PerturbedGreen:
+                    mode: str = "direct") -> PerturbedGreen:
     """Solve the perturbation identity on the grid.
 
     direct mode factors I - B once and reuses it for every row (and later
-    row queries); fixed-point mode iterates Gt <- G + Gt B and requires the
-    discrete interaction bound kappa below one, recording the sup-change
-    trace relative to the unperturbed kernel as a contraction diagnostic.
+    row queries), and refuses a solve whose relative residual exceeds 1e-8;
+    fixed-point mode iterates Gt <- G + Gt B for at most 200 sweeps, stops
+    once the sup-change relative to the unperturbed kernel is at most 1e-8,
+    requires the discrete interaction bound kappa below one, and records the
+    sup-change trace as a contraction diagnostic.
     """
     Gmat, dG = discretize_green(G, grid)
     B = _operator(G, b, grid, dG)
@@ -188,20 +192,20 @@ def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid,
                 f"{kappa_disc:.3f} >= 1; use direct mode")
         tilde = Gmat.copy()
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_MAX_SWEEPS):
             nxt = Gmat + tilde @ B
             change = float(np.max(np.abs(nxt - tilde) / Gmat))
             trace.append(change)
             tilde = nxt
-            if change <= tol:
+            if change <= _SOLVE_TOL:
                 converged = True
                 break
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     residual = float(np.max(np.abs(tilde - Gmat - tilde @ B)) / np.max(Gmat))
-    if mode == "direct" and residual > tol:
-        raise RuntimeError(f"direct solve residual {residual:.2e} exceeds {tol:.2e}; "
+    if mode == "direct" and residual > _SOLVE_TOL:
+        raise RuntimeError(f"direct solve residual {residual:.2e} exceeds {_SOLVE_TOL:.2e}; "
                            "the system is close to singular")
     return PerturbedGreen(grid, G, Gmat, tilde, B, kappa_disc, mode,
                           converged, residual, trace, lu)
@@ -231,15 +235,15 @@ class ComparabilityReport:
         }
 
 
-def comparability_report(pg: PerturbedGreen, n_bins: int = 40) -> ComparabilityReport:
-    """Certified two-sided comparability constant C = max(sup, 1/inf) of Gt/G."""
+def comparability_report(pg: PerturbedGreen) -> ComparabilityReport:
+    """Certified constant C = max(sup, 1/inf) of Gt/G, and a 40-bin histogram of log(Gt/G)."""
     r = pg.ratios()
     sup, inf = float(np.max(r)), float(np.min(r))
     if inf <= 0:
         constant = np.inf
     else:
         constant = max(sup, 1.0 / inf)
-    counts, edges = np.histogram(np.log(np.clip(r, 1e-300, None)), bins=n_bins)
+    counts, edges = np.histogram(np.log(np.clip(r, 1e-300, None)), bins=40)
     return ComparabilityReport(pg.grid.n, sup, inf, float(constant), pg.kappa_disc,
                                pg.mode, pg.converged, pg.residual,
                                tuple(edges), tuple(counts))
@@ -248,12 +252,13 @@ def comparability_report(pg: PerturbedGreen, n_bins: int = 40) -> ComparabilityR
 def find_epsilon(domain_family: Callable[[float], C11Set], b: Callable,
                  green_builder: Callable[[C11Set], GreenFunction],
                  threshold: float = 1.0 / 3.0, s_min: float = 1e-3, s_max: float = 1.0,
-                 bisection_steps: int = 12, n_grid: int = 12) -> float:
+                 n_grid: int = 12) -> float:
     """Largest tested scale whose domain keeps the interaction bound below threshold.
 
     The interaction integral shrinks with the domain, so a monotone
-    bisection over the scale parameter finds the crossing; fails if even the
-    smallest tested scale is above threshold.
+    bisection over the scale parameter (12 steps, each halving the bracket
+    in log scale) finds the crossing; fails if even the smallest tested
+    scale is above threshold.
     """
     from .green import kappa_sup
 
@@ -266,7 +271,7 @@ def find_epsilon(domain_family: Callable[[float], C11Set], b: Callable,
         raise ValueError(
             f"interaction bound stays above {threshold} down to scale {s_min}")
     lo, hi = s_min, s_max
-    for _ in range(bisection_steps):
+    for _ in range(12):
         mid = np.sqrt(lo * hi)
         if kap(mid) < threshold:
             lo = mid

@@ -1,4 +1,4 @@
-"""Minimal static SVG figures: kernel curves, ratio heatmaps, histograms.
+"""Minimal static SVG figures: log-log kernel curves, ratio heatmaps, histograms.
 
 Hand-rolled markup keeps the outputs byte-reproducible for identical
 inputs, which the reporting contract requires.  The heatmap, one ``<rect>``
@@ -32,20 +32,19 @@ def _axes(title: str) -> list[str]:
     ]
 
 
-def line_plot(path, xs, series: dict, title: str = "", logy: bool = False,
-              logx: bool = False) -> None:
-    """Polyline plot of one or more named series against a shared axis."""
-    xs = np.asarray(xs, dtype=float)
-    tx = np.log10(xs) if logx else xs
+def _log10(vals) -> np.ndarray:
+    return np.log10(np.clip(np.asarray(vals, dtype=float), 1e-300, None))
+
+
+def line_plot(path, xs, series: dict, title: str = "") -> None:
+    """Log-log polyline plot of one or more named series against a shared axis."""
+    tx = np.log10(np.asarray(xs, dtype=float))
     parts = _axes(title)
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    all_y = np.concatenate([np.asarray(v, dtype=float) for v in series.values()])
-    if logy:
-        all_y = np.log10(np.clip(all_y, 1e-300, None))
+    all_y = _log10(np.concatenate([np.asarray(v, dtype=float) for v in series.values()]))
     ylo, yhi = float(np.min(all_y)), float(np.max(all_y))
     for k, (name, ys) in enumerate(series.items()):
-        ys = np.asarray(ys, dtype=float)
-        ty = np.log10(np.clip(ys, 1e-300, None)) if logy else ys
+        ty = _log10(ys)
         px = _scale(tx, tx.min(), tx.max(), _PAD, _W - _PAD)
         py = _scale(ty, ylo, yhi, _H - _PAD, _PAD)
         pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -41,3 +42,42 @@ def test_cli_commands_are_functions():
     for command, fn in cli._COMMANDS.items():
         assert fn is getattr(cli, f"cmd_{command}")
         assert inspect.isfunction(fn)
+
+
+# options that no caller set (now module constants) and members that no caller read
+REMOVED_KEYWORDS = {
+    "kernels": {"compute_h": ["tol"], "compute_K": ["tol"], "compute_dK": ["tol"],
+                "build_table": ["tol"], "KernelTable": ["tol"],
+                "check_table_invariants": ["interp_slack", "n_pairs", "seed"],
+                "check_K_subadditivity_exact": ["seed"],
+                "heat_kernel_envelope": ["comparability"]},
+    "models": {"check_unimodal": ["n_grid", "r_min", "r_max"]},
+    "kato": {"kato_modulus": ["x_grid", "span"], "is_kato": ["n_translates"]},
+    "perturbation": {"build_grid": ["order"], "solve_perturbed": ["tol", "max_iter"],
+                     "comparability_report": ["n_bins"], "find_epsilon": ["bisection_steps"]},
+    "green": {"numeric_table_green": ["order"]},
+    "mesh": {"graded_components": ["order"]},
+    "montecarlo": {"mc_exit_law": ["hist_range", "hist_bins"]},
+    "svgplot": {"line_plot": ["logx", "logy"]},
+}
+REMOVED_MEMBERS = {("models", "LevyModel"): ["key"],
+                   ("kernels", "KernelTable"): ["h_at", "dK_at"]}
+REMOVED_FIELDS = {"PathConfig": ["ref_frac", "floor_frac"], "ExitSample": ["config"]}
+
+
+def test_removed_options_stay_gone():
+    from levygreen import montecarlo
+
+    back = []
+    for module, fns in REMOVED_KEYWORDS.items():
+        mod = importlib.import_module(f"levygreen.{module}")
+        for name, keywords in fns.items():
+            params = inspect.signature(getattr(mod, name)).parameters
+            back += [f"{module}.{name}({kw}=)" for kw in keywords if kw in params]
+    for (module, name), members in REMOVED_MEMBERS.items():
+        cls = getattr(importlib.import_module(f"levygreen.{module}"), name)
+        back += [f"{module}.{name}.{m}" for m in members if hasattr(cls, m)]
+    for name, removed in REMOVED_FIELDS.items():
+        fields = {f.name for f in dataclasses.fields(getattr(montecarlo, name))}
+        back += [f"montecarlo.{name}.{f}" for f in removed if f in fields]
+    assert not back

@@ -162,3 +162,22 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     out = tmp_path / "out"
     assert main(["mc", "--config", str(p), "--out", str(out)]) == 0
     assert json.loads((out / "mc_estimates.json").read_text())["engine"] == engine
+
+
+@pytest.mark.parametrize("command,patch", [
+    ("mc", {"source": 0.5}),
+    ("green", {"source": 0.5}),
+    ("report", {"source": 0.5}),
+    ("mc", {"mc": {"paths": 100, "dt": 0}}),
+    ("mc", {"mc": {"paths": 100, "bin_width": 0}}),
+    ("mc", {"mc": {"paths": 100, "bin_width": -0.01}}),
+    ("kernels", {"model": {"family": "stable-mixture", "alphas": 1.5}}),
+], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
+        "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape"])
+def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(dict(SMALL_CFG, **patch)))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not any(out.iterdir())

@@ -81,8 +81,8 @@ def _euler_two_lookups(model, b, D, x0, config):
     cap_time = config.time_cap
     if cap_time is None:
         cap_time = 200.0 * (D.diam / 2.0) ** alpha_eff
-    d_ref = config.ref_frac * D.r0
-    d_floor = config.floor_frac * D.r0
+    d_ref = mc._REF_FRAC * D.r0
+    d_floor = mc._FLOOR_FRAC * D.r0
 
     def walk_chunk(m, rng, occ_chunk):
         censored = 0
