@@ -5,12 +5,15 @@ file embeds the config hash and the toolkit version; rerunning a command
 with the same config and seed reproduces the numeric content byte for byte
 (single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error,
 raised before any artifact is written; green, perturb and report refuse every
-model family but ``stable`` with 2.
+model family but ``stable`` with 2.  Only this module and ``svgplot`` write
+files: the computing modules return arrays and result dataclasses, and the
+CSV and JSON formats are decided here.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -69,11 +72,34 @@ def _parse_source(cfg: dict, domain: C11Set):
     return x0
 
 
+def _count(value, name: str, lo: int) -> int:
+    """``value`` if it is an integer >= lo, else a config error naming it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+        raise ConfigError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return value
+
+
+def _size(cfg: dict, key: str, default: int, flag: int | None = None) -> int:
+    """The grid size ``grid.<key>``, or the ``--grid`` flag when it is given."""
+    if flag is not None:
+        return _count(flag, "--grid", 1)
+    return _count(cfg.get("grid", {}).get(key, default), f"grid.{key}", 1)
+
+
+def _seed(cfg: dict, args) -> int:
+    """The ``--seed`` flag when it is given, else ``mc.seed``."""
+    if args.seed is not None:
+        return _count(args.seed, "--seed", 0)
+    return _count(cfg.get("mc", {}).get("seed", 0), "mc.seed", 0)
+
+
 def _meta(digest: str, **extra) -> dict:
     return {"config_sha256": digest, "version": __version__, **extra}
 
 
 def _json_default(obj):
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     if isinstance(obj, np.integer):
@@ -124,11 +150,12 @@ def _green_for(model, domain, n_nodes):
 def cmd_kernels(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
-    ppd = args.grid or cfg.get("grid", {}).get("points_per_decade", 64)
+    ppd = _size(cfg, "points_per_decade", 64, args.grid)
     table = kernels.build_table(model, diam=domain.diam, points_per_decade=ppd)
-    table.export_csv(out / "kernels.csv",
-                     header_lines=(f"config_sha256={digest}", f"version={__version__}",
-                                   f"model={json.dumps(model.describe())}"))
+    with open(out / "kernels.csv", "w") as fh:
+        _csv_header(fh, digest, model=json.dumps(model.describe()))
+        fh.write("r,h,V,M,K,dK\n")
+        _write_rows(fh, *map(_reprs, (table.r, table.h, table.V, table.M, table.K, table.dK)))
     rep = kernels.check_table_invariants(table)
     _write_json(out / "kernel_invariants.json", {**_meta(digest), "checks": rep})
     svgplot.line_plot(out / "kernels.svg", table.r,
@@ -143,17 +170,17 @@ def cmd_green(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
     x0 = _parse_source(cfg, domain)
-    n = args.grid or cfg.get("grid", {}).get("checker_grid", 100)
+    n = _size(cfg, "checker_grid", 100, args.grid)
+    n_triples = _size(cfg, "three_g_triples", 20000)
+    seed = _seed(cfg, args)
     G = _green_for(model, domain, 160)
     table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
-    seed = args.seed if args.seed is not None else cfg.get("mc", {}).get("seed", 0)
 
     records = []
     grad = green.check_gradient_bound(G, table, n=n)
     records.append({"check": "gradient_bound", "n": n, "sup": grad["sup"],
                     "inf": None, "grid": n})
-    tri = green.three_g_constant(G, table, n_triples=cfg.get("grid", {}).get(
-        "three_g_triples", 20000), seed=seed)
+    tri = green.three_g_constant(G, table, n_triples=n_triples, seed=seed)
     records.append({"check": "three_g", "n": tri.n, "sup": tri.sup, "inf": None,
                     "grid": None})
     mass = green.poisson_mass(G, x0)
@@ -176,14 +203,14 @@ def cmd_perturb(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
     drift = _parse_drift(cfg)
-    n = args.grid or cfg.get("grid", {}).get("nodes_per_component", 200)
+    n = _size(cfg, "nodes_per_component", 200, args.grid)
     G = _green_for(model, domain, n)
     grid = perturbation.build_grid(domain, n, model.alpha)
     pg = perturbation.solve_perturbed(G, drift, grid)
     rep = perturbation.comparability_report(pg)
     _write_json(out / "comparability.json",
                 {**_meta(digest, domain=domain.intervals, model=model.describe(),
-                         drift=drift.describe()), "report": rep.to_dict()})
+                         drift=drift.describe()), "report": rep})
     ratios = pg.ratios()
     with open(out / "ratios.csv", "w") as fh:
         _csv_header(fh, digest, drift=drift.label)
@@ -201,7 +228,7 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
     domain = _parse_domain(cfg)
     drift = _parse_drift(cfg)
     mcc = cfg.get("mc", {})
-    seed = args.seed if args.seed is not None else mcc.get("seed", 0)
+    seed = _seed(cfg, args)
     try:
         config = mc_mod.PathConfig(
             dt=mcc.get("dt", 1e-3), n_paths=mcc.get("paths", 10_000), seed=seed,
@@ -215,17 +242,16 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
         raise ConfigError(f"drift {drift.label}: {exc}") from exc
     tau_mean = float(np.mean(sample.tau))
     tau_se = float(np.std(sample.tau, ddof=1) / np.sqrt(sample.n_paths))
+    head = dict(seed=seed, dt=config.dt, paths=config.n_paths,
+                model=json.dumps(model.describe()), domain=json.dumps(domain.intervals),
+                drift=drift.label, source=x0)
     with open(out / "mc_green.csv", "w") as fh:
-        _csv_header(fh, digest, seed=seed, dt=config.dt, paths=config.n_paths,
-                    model=json.dumps(model.describe()), domain=json.dumps(domain.intervals),
-                    drift=drift.label, source=x0)
+        _csv_header(fh, digest, **head)
         fh.write("center,width,value,se\n")
         _write_rows(fh, *map(_reprs, (bins.centers, bins.widths, val, se)))
     counts, edges = mc_mod.exit_histogram(sample.exit_pos, domain)
     with open(out / "mc_exit_law.csv", "w") as fh:
-        _csv_header(fh, digest, seed=seed, dt=config.dt, paths=config.n_paths,
-                    model=json.dumps(model.describe()),
-                    domain=json.dumps(domain.intervals), drift=drift.label, source=x0)
+        _csv_header(fh, digest, **head)
         fh.write("left_edge,right_edge,count\n")
         _write_rows(fh, _reprs(edges[:-1]), _reprs(edges[1:]), _reprs(counts))
     _write_json(out / "mc_estimates.json",
@@ -246,7 +272,7 @@ def cmd_kato(cfg: dict, digest: str, out: Path, args) -> int:
     drift = _parse_drift(cfg)
     table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
     cert = kato_mod.is_kato(drift, table)
-    _write_json(out / "kato_certificate.json", {**_meta(digest), **cert.to_dict()})
+    _write_json(out / "kato_certificate.json", {**_meta(digest), **dataclasses.asdict(cert)})
     print(f"kato certificate: {'PASS' if cert.passed else 'FAIL'} "
           f"(moduli {', '.join(f'{m:.3g}' for m in cert.moduli)})")
     return 0 if cert.passed else 1
@@ -258,7 +284,7 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
     domain = _parse_domain(cfg)
     drift = _parse_drift(cfg)
     x0 = _parse_source(cfg, domain)
-    n = args.grid or cfg.get("grid", {}).get("nodes_per_component", 160)
+    n = _size(cfg, "nodes_per_component", 160, args.grid)
     lines: list[tuple[str, bool, str]] = []
 
     G = _green_for(model, domain, n)

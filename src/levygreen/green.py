@@ -463,10 +463,6 @@ class TripleStat:
     finite: bool
     seed: int
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "sup": self.sup, "argmax": list(self.argmax),
-                "finite": self.finite, "seed": self.seed}
-
 
 def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_000,
                      seed: int = 0) -> TripleStat:

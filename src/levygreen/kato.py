@@ -179,10 +179,6 @@ class KatoCertificate:
     passed: bool
     drift: dict
 
-    def to_dict(self) -> dict:
-        return {"radii": list(self.radii), "moduli": list(self.moduli),
-                "tol": self.tol, "passed": self.passed, "drift": self.drift}
-
 
 def is_kato(b: DriftField, table: KernelTable, r_sequence=None,
             tol: float = 4.0) -> KatoCertificate:

@@ -254,15 +254,6 @@ class KernelTable:
         out = np.exp(self._Vinv(np.log(np.clip(arr, self.V[0], self.V[-1]))))
         return out if out.ndim else float(out)
 
-    def export_csv(self, path, header_lines: tuple[str, ...] = ()):
-        with open(path, "w") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            fh.write("r,h,V,M,K,dK\n")
-            for i in range(len(self.r)):
-                fh.write(f"{float(self.r[i])!r},{float(self.h[i])!r},{float(self.V[i])!r},"
-                         f"{float(self.M[i])!r},{float(self.K[i])!r},{float(self.dK[i])!r}\n")
-
 
 def build_table(model: LevyModel, diam: float = 1.0, points_per_decade: int = 128,
                 span: tuple[float, float] = (1e-6, 1e2)) -> KernelTable:

@@ -257,16 +257,6 @@ class ScalingReport:
     def standing_assumption(self) -> bool:
         return self.ok and self.alpha_low_1 > 1.0
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_low": self.alpha_low, "c_low": self.c_low,
-            "alpha_high": self.alpha_high, "C_high": self.C_high,
-            "alpha_low_1": self.alpha_low_1, "c_low_1": self.c_low_1,
-            "theta_min": self.theta_min, "theta_max": self.theta_max,
-            "n_grid": self.n_grid, "ok": self.ok, "reason": self.reason,
-            "standing_assumption": self.standing_assumption,
-        }
-
 
 def estimate_scaling(model: LevyModel, theta_min: float = 1e-3, theta_max: float = 1e3,
                      n_grid: int | None = None) -> ScalingReport:

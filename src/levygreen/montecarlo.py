@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -83,8 +84,12 @@ class PathConfig:
     small_jump_cutoff: float = 1e-2      # non-stable models only
 
     def __post_init__(self):
-        if self.dt <= 0 or self.n_paths < 1:
-            raise ValueError("need dt > 0 and at least one path")
+        if self.dt <= 0:
+            raise ValueError("need dt > 0")
+        for name, lo in (("n_paths", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
         if self.bin_width <= 0:
             raise ValueError("need bin_width > 0")
 
@@ -98,9 +103,6 @@ class McEstimate:
 
     def agrees_with(self, other: float, n_se: float = 3.0) -> bool:
         return abs(self.value - other) <= n_se * self.se
-
-    def to_dict(self) -> dict:
-        return {"value": self.value, "se": self.se, "n": self.n, "kind": self.kind}
 
 
 @dataclass(frozen=True)

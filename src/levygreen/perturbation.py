@@ -29,7 +29,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from . import mesh, stable
 from .geometry import C11Set
-from .green import GreenFunction, complement_mass, exit_density
+from .green import GreenFunction, complement_mass, exit_density, kappa_sup
 from .models import stable_index
 
 __all__ = [
@@ -61,7 +61,6 @@ class NystromGrid:
     nodes: np.ndarray
     weights: np.ndarray
     comp_id: np.ndarray
-    grading: float
 
     @property
     def n(self) -> int:
@@ -72,9 +71,8 @@ def build_grid(domain: C11Set, n_per_component: int = 200,
                alpha: float = 1.5) -> NystromGrid:
     # at least the exponent that resolves the boundary factor V(delta), and
     # never below 2, which the quadrature error at the diagonal kink needs
-    grading = max(2.0, 2.0 / alpha)
     return NystromGrid(domain, *mesh.graded_components(domain.intervals, n_per_component,
-                                                       grading), grading)
+                                                       max(2.0, 2.0 / alpha)))
 
 
 def _singular_model(grid: NystromGrid, alpha: float) -> np.ndarray:
@@ -107,11 +105,14 @@ def discretize_green(G: GreenFunction, grid: NystromGrid) -> tuple[np.ndarray, n
     Zi, Zj = np.broadcast_arrays(z[:, None], z[None, :])
     dG[off] = np.asarray(G.grad_x(Zi[off], Zj[off]), dtype=float)
 
-    # bounded remainder dG(z, y) + dK(z - y) at z = y, from adjacent nodes
-    m = _singular_model(grid, stable_index(G.model))
+    # bounded remainder dG(z, y) + dK(z - y) at z = y, from adjacent nodes; at
+    # spacing h = z[k + 1] - z[k] the singular model is c_s h^(alpha - 2) at
+    # [k, k + 1] and minus that at [k + 1, k]
+    alpha = stable_index(G.model)
+    m = (alpha - 1.0) * stable.kernel_at_one(alpha) * np.diff(z) ** (alpha - 2.0)
     same = grid.comp_id[1:] == grid.comp_id[:-1]       # nodes k and k + 1
-    from_above = np.where(same, np.diagonal(dG, 1) - np.diagonal(m, 1), 0.0)
-    from_below = np.where(same, np.diagonal(dG, -1) - np.diagonal(m, -1), 0.0)
+    from_above = np.where(same, np.diagonal(dG, 1) - m, 0.0)
+    from_below = np.where(same, np.diagonal(dG, -1) + m, 0.0)
     np.fill_diagonal(dG, (np.r_[0.0, from_above] + np.r_[from_below, 0.0])
                      / (np.r_[0, same] + np.r_[same, 0]))
     return Gmat, dG
@@ -226,14 +227,6 @@ class ComparabilityReport:
     hist_edges: tuple
     hist_counts: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n, "sup": self.sup, "inf": self.inf, "constant": self.constant,
-            "kappa_disc": self.kappa_disc, "mode": self.mode,
-            "converged": self.converged, "residual": self.residual,
-            "hist_edges": list(self.hist_edges), "hist_counts": list(self.hist_counts),
-        }
-
 
 def comparability_report(pg: PerturbedGreen) -> ComparabilityReport:
     """Certified constant C = max(sup, 1/inf) of Gt/G, and a 40-bin histogram of log(Gt/G)."""
@@ -260,8 +253,6 @@ def find_epsilon(domain_family: Callable[[float], C11Set], b: Callable,
     in log scale) finds the crossing; fails if even the smallest tested
     scale is above threshold.
     """
-    from .green import kappa_sup
-
     def kap(s: float) -> float:
         return kappa_sup(green_builder(domain_family(s)), b, n_grid=n_grid)
 

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -61,13 +63,18 @@ REMOVED_KEYWORDS = {
     "svgplot": {"line_plot": ["logx", "logy"]},
 }
 REMOVED_MEMBERS = {("models", "LevyModel"): ["key"],
-                   ("kernels", "KernelTable"): ["h_at", "dK_at"]}
-REMOVED_FIELDS = {"PathConfig": ["ref_frac", "floor_frac"], "ExitSample": ["config"]}
+                   ("models", "ScalingReport"): ["to_dict"],
+                   ("kernels", "KernelTable"): ["h_at", "dK_at", "export_csv"],
+                   ("green", "TripleStat"): ["to_dict"],
+                   ("perturbation", "ComparabilityReport"): ["to_dict"],
+                   ("kato", "KatoCertificate"): ["to_dict"],
+                   ("montecarlo", "McEstimate"): ["to_dict"]}
+REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac"],
+                  ("montecarlo", "ExitSample"): ["config"],
+                  ("perturbation", "NystromGrid"): ["grading"]}
 
 
 def test_removed_options_stay_gone():
-    from levygreen import montecarlo
-
     back = []
     for module, fns in REMOVED_KEYWORDS.items():
         mod = importlib.import_module(f"levygreen.{module}")
@@ -77,7 +84,27 @@ def test_removed_options_stay_gone():
     for (module, name), members in REMOVED_MEMBERS.items():
         cls = getattr(importlib.import_module(f"levygreen.{module}"), name)
         back += [f"{module}.{name}.{m}" for m in members if hasattr(cls, m)]
-    for name, removed in REMOVED_FIELDS.items():
-        fields = {f.name for f in dataclasses.fields(getattr(montecarlo, name))}
-        back += [f"montecarlo.{name}.{f}" for f in removed if f in fields]
+    for (module, name), removed in REMOVED_FIELDS.items():
+        cls = getattr(importlib.import_module(f"levygreen.{module}"), name)
+        fields = {f.name for f in dataclasses.fields(cls)}
+        back += [f"{module}.{name}.{f}" for f in removed if f in fields]
     assert not back
+
+
+# the modules that decide how artifacts look; every other module returns values
+WRITERS = {"cli.py", "svgplot.py"}
+FILE_CALLS = {"open", "write_text", "write_bytes"}
+
+
+def test_only_the_cli_and_svgplot_write_files():
+    writes = []
+    for path in sorted(Path(levygreen.__path__[0]).glob("*.py")):
+        if path.name in WRITERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in FILE_CALLS:
+                    writes.append(f"{path.name}:{node.lineno} {name}")
+    assert not writes

@@ -27,9 +27,10 @@ def test_kernels_command(tmp_path, cfg_path):
     out = tmp_path / "out"
     assert main(["kernels", "--config", cfg_path, "--out", str(out)]) == 0
     lines = (out / "kernels.csv").read_text().splitlines()
-    header = [ln for ln in lines if not ln.startswith("#")][0]
-    assert header == "r,h,V,M,K,dK"
-    assert any(ln.startswith("# config_sha256=") for ln in lines)
+    assert [ln.split("=")[0] for ln in lines[:3]] == ["# config_sha256", "# version", "# model"]
+    assert lines[3] == "r,h,V,M,K,dK"
+    # 16 points per decade over the eight decades [1e-6, 1e2] x diam
+    assert len(lines) == 4 + 16 * 8
     inv = json.loads((out / "kernel_invariants.json").read_text())
     assert inv["checks"]["all_pass"] is True
     assert (out / "kernels.svg").exists()
@@ -172,12 +173,28 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("mc", {"mc": {"paths": 100, "bin_width": 0}}),
     ("mc", {"mc": {"paths": 100, "bin_width": -0.01}}),
     ("kernels", {"model": {"family": "stable-mixture", "alphas": 1.5}}),
+    ("kernels --grid 0", {}),
+    ("kernels --grid -3", {}),
+    ("perturb --grid -5", {}),
+    ("kernels", {"grid": {"points_per_decade": 0}}),
+    ("perturb", {"grid": {"nodes_per_component": 0}}),
+    ("report", {"grid": {"nodes_per_component": -1}}),
+    ("green", {"grid": {"checker_grid": 0}}),
+    ("green", {"grid": {"three_g_triples": 0}}),
+    ("mc", {"mc": {"paths": 100.5}}),
+    ("mc", {"mc": {"paths": 100, "seed": -1}}),
+    ("mc --seed -1", {"mc": {"paths": 100}}),
+    ("green --seed -1", {}),
 ], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
-        "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape"])
+        "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
+        "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
+        "kernels-points-per-decade-zero", "perturb-nodes-zero", "report-nodes-negative",
+        "green-checker-grid-zero", "green-triples-zero", "mc-paths-fraction",
+        "mc-seed-negative", "mc-seed-flag-negative", "green-seed-flag-negative"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(SMALL_CFG, **patch)))
     out = tmp_path / "out"
-    assert main([command, "--config", str(p), "--out", str(out)]) == 2
+    assert main([*command.split(), "--config", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not any(out.iterdir())

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from levygreen import kato, stable
+from levygreen import cli, kato, stable
 
 ALPHA = 1.5
 A = stable.h_constant(ALPHA)
@@ -79,8 +81,11 @@ def test_drift_from_config():
         kato.drift_from_config({"family": "tensor"})
 
 
-def test_certificate_serialization(table15):
+def test_certificate_serialization(tmp_path, table15):
     cert = kato.is_kato(kato.constant_drift(1.0), table15)
-    d = cert.to_dict()
+    # the certificate fields as kato writes them into kato_certificate.json
+    path = tmp_path / "kato_certificate.json"
+    cli._write_json(path, cert)
+    d = json.loads(path.read_text())
     assert d["passed"] is True
     assert len(d["radii"]) == len(d["moduli"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levygreen import kernels, models, stable
+from levygreen import cli, kernels, models, stable
 
 ALPHA = 1.5
 K1 = stable.kernel_at_one(ALPHA)            # = sqrt(2/pi) for this index
@@ -170,12 +170,21 @@ def test_heat_kernel_envelope_scaling(table15):
 
 
 def test_csv_export(tmp_path, table15):
+    # kernels.csv is written by the CLI's CSV helpers: header comments, the
+    # column line, then one row per table point
     path = tmp_path / "k.csv"
-    table15.export_csv(path, header_lines=("config=abc",))
+    with open(path, "w") as fh:
+        cli._csv_header(fh, "abc")
+        fh.write("r,h,V,M,K,dK\n")
+        cli._write_rows(fh, *map(cli._reprs, (table15.r, table15.h, table15.V,
+                                              table15.M, table15.K, table15.dK)))
     lines = path.read_text().splitlines()
-    assert lines[0] == "# config=abc"
-    assert lines[1] == "r,h,V,M,K,dK"
-    assert len(lines) == 2 + len(table15.r)
+    assert lines[0] == "# config_sha256=abc"
+    assert lines[2] == "r,h,V,M,K,dK"
+    assert len(lines) == 3 + len(table15.r)
+    assert lines[3].split(",") == [repr(float(table15.r[0])), repr(float(table15.h[0])),
+                                   repr(float(table15.V[0])), repr(float(table15.M[0])),
+                                   repr(float(table15.K[0])), repr(float(table15.dK[0]))]
 
 
 def test_quadrature_failure_reports_tolerance():

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from levygreen import green, perturbation as pert, stable
+from levygreen import cli, green, perturbation as pert, stable
 from levygreen.geometry import interval_union
 from levygreen.kato import DriftField, constant_drift, sin_drift
 
@@ -126,14 +128,18 @@ def test_row_solve_matches_matrix(oracle15, grid200):
     assert np.max(np.abs(row - pg.matrix[k])) < 1e-10
 
 
-def test_comparability_report_fields(oracle15, grid200):
+def test_comparability_report_fields(tmp_path, oracle15, grid200):
     pg = pert.solve_perturbed(oracle15, sin_drift(1.0, 5.0), grid200)
     rep = pert.comparability_report(pg)
     assert rep.inf <= 1.0 <= rep.sup or rep.inf > 0
     assert rep.constant >= max(rep.sup, 1.0 / rep.inf) - 1e-12
     assert sum(rep.hist_counts) == grid200.n ** 2
-    d = rep.to_dict()
+    # the report as perturb writes it into comparability.json
+    path = tmp_path / "comparability.json"
+    cli._write_json(path, {"report": rep})
+    d = json.loads(path.read_text())["report"]
     assert set(d) >= {"sup", "inf", "constant", "kappa_disc", "mode"}
+    assert d["constant"] == rep.constant and sum(d["hist_counts"]) == grid200.n ** 2
 
 
 def test_find_epsilon_zero_drift_returns_max(oracle15):

@@ -1,15 +1,17 @@
-"""Byte oracles for the row-at-a-time writers of ``perturb``'s artifacts.
+"""Byte oracles for the row-at-a-time writers of ``perturb``'s and ``kernels``' artifacts.
 
 The oracles are the earlier per-cell loops, kept verbatim: the heatmap of
-``svgplot.heatmap`` and the ``ratios.csv`` rows of ``cli.cmd_perturb``.
+``svgplot.heatmap``, the ``ratios.csv`` rows of ``cli.cmd_perturb`` and the
+``KernelTable.export_csv`` that wrote ``kernels.csv``.
 """
 
 import io
+import json
 
 import numpy as np
 import pytest
 
-from levygreen import cli, svgplot
+from levygreen import __version__, cli, kernels, svgplot
 from levygreen.svgplot import _H, _PAD, _W, _axes
 
 
@@ -46,6 +48,16 @@ def ratios_oracle(fh, nodes, unperturbed, matrix, r) -> None:
         for j in range(len(nodes)):
             fh.write(f"{float(nodes[i])!r},{float(nodes[j])!r},"
                      f"{float(unperturbed[i, j])!r},{float(matrix[i, j])!r},{float(r[i, j])!r}\n")
+
+
+def export_csv_oracle(self, path, header_lines: tuple[str, ...] = ()):
+    with open(path, "w") as fh:
+        for line in header_lines:
+            fh.write(f"# {line}\n")
+        fh.write("r,h,V,M,K,dK\n")
+        for i in range(len(self.r)):
+            fh.write(f"{float(self.r[i])!r},{float(self.h[i])!r},{float(self.V[i])!r},"
+                     f"{float(self.M[i])!r},{float(self.K[i])!r},{float(self.dK[i])!r}\n")
 
 
 def _same_heatmap(tmp_path, M, **kw):
@@ -133,3 +145,25 @@ def test_rows_writer_matches_per_element_writer():
         old.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}\n")
     cli._write_rows(new, cli._reprs(edges[:-1]), cli._reprs(edges[1:]), cli._reprs(counts))
     assert new.getvalue() == old.getvalue()
+
+
+@pytest.mark.parametrize("model", [
+    {"family": "stable", "alpha": 1.5},
+    {"family": "stable-mixture", "alphas": [1.2, 1.7], "weights": [1.0, 0.5]},
+], ids=["stable", "mixture"])
+def test_kernels_csv_matches_per_cell_writer(tmp_path, monkeypatch, model):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"model": model, "domain": {"intervals": [[-1.0, 1.0]]},
+                               "grid": {"points_per_decade": 4}}))
+    tables = []
+    build = kernels.build_table
+    monkeypatch.setattr(kernels, "build_table",
+                        lambda *a, **kw: tables.append(build(*a, **kw)) or tables[-1])
+    cli.main(["kernels", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    (table,) = tables
+    digest = cli._load_config(str(cfg))[1]
+    export_csv_oracle(table, tmp_path / "oracle.csv",
+                      (f"config_sha256={digest}", f"version={__version__}",
+                       f"model={json.dumps(table.model.describe())}"))
+    assert (tmp_path / "out" / "kernels.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
