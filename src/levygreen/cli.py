@@ -5,7 +5,8 @@ file embeds the config hash and the toolkit version; rerunning a command
 with the same config and seed reproduces the numeric content byte for byte
 (single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error,
 raised before any artifact is written; green, perturb and report refuse every
-model family but ``stable`` with 2.  Only this module and ``svgplot`` write
+model family but ``stable`` with 2, and kernels and kato refuse
+``truncated-stable``.  Only this module and ``svgplot`` write
 files: the computing modules return arrays and result dataclasses, and the
 CSV and JSON formats are decided here.
 """
@@ -147,11 +148,19 @@ def _green_for(model, domain, n_nodes):
     return green.numeric_table_green(alpha, domain, nodes_per_component=max(n_nodes, 120))
 
 
+def _table_for(model, domain, points_per_decade):
+    # the truncated-stable symbol is itself a quadrature, which every kernel
+    # quadrature would nest: one table point then takes minutes
+    if model.family == "truncated-stable":
+        raise ConfigError("kernel tables need a closed-form symbol, "
+                          "not the quadrature symbol of 'truncated-stable'")
+    return kernels.build_table(model, diam=domain.diam, points_per_decade=points_per_decade)
+
+
 def cmd_kernels(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
-    ppd = _size(cfg, "points_per_decade", 64, args.grid)
-    table = kernels.build_table(model, diam=domain.diam, points_per_decade=ppd)
+    table = _table_for(model, domain, _size(cfg, "points_per_decade", 64, args.grid))
     with open(out / "kernels.csv", "w") as fh:
         _csv_header(fh, digest, model=json.dumps(model.describe()))
         fh.write("r,h,V,M,K,dK\n")
@@ -174,7 +183,7 @@ def cmd_green(cfg: dict, digest: str, out: Path, args) -> int:
     n_triples = _size(cfg, "three_g_triples", 20000)
     seed = _seed(cfg, args)
     G = _green_for(model, domain, 160)
-    table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
+    table = _table_for(model, domain, 32)
 
     records = []
     grad = green.check_gradient_bound(G, table, n=n)
@@ -270,7 +279,7 @@ def cmd_kato(cfg: dict, digest: str, out: Path, args) -> int:
     model = _parse_model(cfg)
     domain = _parse_domain(cfg)
     drift = _parse_drift(cfg)
-    table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
+    table = _table_for(model, domain, 32)
     cert = kato_mod.is_kato(drift, table)
     _write_json(out / "kato_certificate.json", {**_meta(digest), **dataclasses.asdict(cert)})
     print(f"kato certificate: {'PASS' if cert.passed else 'FAIL'} "
@@ -288,7 +297,7 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
     lines: list[tuple[str, bool, str]] = []
 
     G = _green_for(model, domain, n)
-    table = kernels.build_table(model, diam=domain.diam, points_per_decade=32)
+    table = _table_for(model, domain, 32)
     inv = kernels.check_table_invariants(table)
     lines.append(("kernel invariants", inv["all_pass"], ""))
 

@@ -1,14 +1,15 @@
 """Green and Poisson kernels of interval unions, with estimate checkers.
 
-Three interchangeable Green-function representations:
+Two Green-function builders and one estimate shape:
 
-* ``stable-oracle``: the exact closed form on a single interval;
-* ``envelope``: the constant-free boundary-scale shape
-  ``V(d_x) V(d_y) (1/sqrt(d_x d_y) ^ 1/|x-y|)``;
-* ``numeric-table``: multi-interval domains, built by coupling the
+* ``stable_oracle``: the exact closed form on a single interval;
+* ``numeric_table_green``: multi-interval domains, built by coupling the
   per-interval closed forms through the exit decomposition -- leaving the
   union means leaving the current interval and either landing outside or
-  landing in another component and continuing from there.
+  landing in another component and continuing from there;
+* ``green_envelope``: the constant-free boundary-scale shape
+  ``V(d_x) V(d_y) (1/sqrt(d_x d_y) ^ 1/|x-y|)`` that the estimates compare
+  against.
 
 Exit densities P(x, z) = int G(x, y) nu(z - y) dy (``exit_density``) are
 integrated over the complement by one rule, with a closed-form boundary
@@ -37,7 +38,6 @@ __all__ = [
     "GreenFunction",
     "TripleStat",
     "stable_oracle",
-    "envelope_green",
     "numeric_table_green",
     "green_envelope",
     "green_punctured_line",
@@ -61,15 +61,14 @@ class GreenFunction:
     """Callable Green-function representation on a fixed domain.
 
     ``value(x, y)`` broadcasts and vanishes whenever either argument leaves
-    the domain; ``grad_x`` differentiates in the first slot and is None for
-    the envelope kind.  Evaluators are pure and safe to share.
+    the domain; ``grad_x`` differentiates in the first slot.  Evaluators are
+    pure and safe to share.
     """
 
-    kind: str
     domain: C11Set
     model: LevyModel
     value: Callable
-    grad_x: Callable | None = None
+    grad_x: Callable
 
 
 def stable_oracle(alpha: float, domain: C11Set) -> GreenFunction:
@@ -85,7 +84,7 @@ def stable_oracle(alpha: float, domain: C11Set) -> GreenFunction:
     def grad_x(x, y):
         return stable.grad_green_interval(alpha, iv, x, y)
 
-    return GreenFunction("stable-oracle", domain, stable_model(alpha), value, grad_x)
+    return GreenFunction(domain, stable_model(alpha), value, grad_x)
 
 
 def green_envelope(D: C11Set, table: KernelTable, x, y):
@@ -100,13 +99,6 @@ def green_envelope(D: C11Set, table: KernelTable, x, y):
     core = np.minimum(1.0 / np.sqrt(dxs * dys), 1.0 / np.maximum(gap, 1e-300))
     out = np.where(inside, table.V_at(dxs) * table.V_at(dys) * core, 0.0)
     return out if out.ndim else float(out)
-
-
-def envelope_green(table: KernelTable, domain: C11Set) -> GreenFunction:
-    def value(x, y):
-        return green_envelope(domain, table, x, y)
-
-    return GreenFunction("envelope", domain, table.model, value)
 
 
 def green_punctured_line(table: KernelTable, x, y):
@@ -192,7 +184,7 @@ def numeric_table_green(alpha: float, domain: C11Set,
     def grad_x(x, y):
         return _evaluate(x, y, differentiate=True)
 
-    return GreenFunction("numeric-table", domain, stable_model(alpha), value, grad_x)
+    return GreenFunction(domain, stable_model(alpha), value, grad_x)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +424,6 @@ def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200) -> 
     A finite, grid-stable supremum is the numerical content of the gradient
     estimate; the theory provides no value for the constant.
     """
-    if G.grad_x is None:
-        raise ValueError("gradient checker needs a representation with a gradient")
     D = G.domain
     xs = _graded_axis(D, n)
     ys = _graded_axis(D, n)
@@ -500,8 +490,6 @@ def kappa(G: GreenFunction, b: Callable, x: float, y: float) -> float:
     The integrand has an integrable power singularity at z = y; panels are
     split there and at x and graded accordingly.
     """
-    if G.grad_x is None:
-        raise ValueError("kappa needs a representation with a gradient")
     D = G.domain
     z, w = _domain_nodes(D, splits=(x, y), n_per_segment=48, grading=4.0)
     gxz = np.asarray(G.value(x, z), dtype=float)

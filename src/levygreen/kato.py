@@ -35,6 +35,8 @@ __all__ = [
     "is_kato",
 ]
 
+_TOL = 4.0              # the last modulus of a passing certificate is at most this
+
 
 @dataclass(frozen=True)
 class DriftField:
@@ -76,17 +78,17 @@ def power_drift(beta: float, center: float = 0.0, strength: float = 1.0) -> Drif
                       f"{strength} |z - {center}|^(-{beta})")
 
 
-def custom_drift(func: Callable, singular_points=(), label: str = "custom") -> DriftField:
-    return DriftField(func, "custom", tuple(float(s) for s in singular_points), label)
+def custom_drift(func: Callable, label: str = "custom") -> DriftField:
+    return DriftField(func, "custom", (), label)
 
 
 def drift_from_config(cfg: dict) -> DriftField:
     kind = cfg.get("family")
     if kind == "constant":
         return constant_drift(float(cfg["value"]))
-    if kind in ("sin", "bounded-smooth"):
+    if kind == "sin":
         return sin_drift(float(cfg.get("amplitude", 1.0)), float(cfg.get("frequency", 5.0)))
-    if kind in ("power", "power-singularity"):
+    if kind == "power":
         return power_drift(float(cfg["beta"]), float(cfg.get("center", 0.0)),
                            float(cfg.get("strength", 1.0)))
     if kind == "zero":
@@ -180,13 +182,13 @@ class KatoCertificate:
     drift: dict
 
 
-def is_kato(b: DriftField, table: KernelTable, r_sequence=None,
-            tol: float = 4.0) -> KatoCertificate:
-    """Certify the drift: the modulus must stay finite and sink below tol.
+def is_kato(b: DriftField, table: KernelTable, r_sequence=None) -> KatoCertificate:
+    """Certify the drift: the moduli must stay finite, decrease, and end at most 4.
 
     The radius sequence must decrease; divergent window integrals (detected
     by power counting at the poles) fail immediately.  Each modulus takes
-    its supremum over 128 translates.
+    its supremum over 128 translates.  The bound 4 is recorded as the
+    certificate's ``tol``.
     """
     if r_sequence is None:
         r_sequence = np.geomspace(1e-1, 1e-6, 6) * table.diam
@@ -202,5 +204,5 @@ def is_kato(b: DriftField, table: KernelTable, r_sequence=None,
     finite = all(np.isfinite(m) for m in moduli) and len(moduli) == len(radii)
     decreasing = finite and all(m2 <= m1 * (1 + 1e-9) + 1e-15
                                 for m1, m2 in zip(moduli, moduli[1:]))
-    passed = finite and decreasing and moduli[-1] <= tol
-    return KatoCertificate(radii, tuple(moduli), tol, passed, b.describe())
+    passed = finite and decreasing and moduli[-1] <= _TOL
+    return KatoCertificate(radii, tuple(moduli), _TOL, passed, b.describe())

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["graded_breaks", "graded_panels", "graded_components", "panel_rule"]
+__all__ = ["graded_breaks", "graded_panels", "graded_components", "panel_rule", "power_panels"]
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 

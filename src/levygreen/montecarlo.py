@@ -99,7 +99,6 @@ class McEstimate:
     value: float
     se: float
     n: int
-    kind: str
 
     def agrees_with(self, other: float, n_se: float = 3.0) -> bool:
         return abs(self.value - other) <= n_se * self.se
@@ -407,7 +406,7 @@ def mc_mean_exit_time(model: LevyModel, b: Callable, D: C11Set, x0: float,
 def _mean_exit_estimate(s: ExitSample) -> McEstimate:
     return McEstimate(float(np.mean(s.tau)),
                       float(np.std(s.tau, ddof=1) / np.sqrt(s.n_paths)),
-                      s.n_paths, "mean_exit_time")
+                      s.n_paths)
 
 
 def mc_green(model: LevyModel, b: Callable, D: C11Set, x0: float,

@@ -149,7 +149,6 @@ class PerturbedGreen:
     green: GreenFunction
     unperturbed: np.ndarray
     matrix: np.ndarray
-    operator: np.ndarray
     kappa_disc: float
     mode: str
     converged: bool
@@ -208,7 +207,7 @@ def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid,
     if mode == "direct" and residual > _SOLVE_TOL:
         raise RuntimeError(f"direct solve residual {residual:.2e} exceeds {_SOLVE_TOL:.2e}; "
                            "the system is close to singular")
-    return PerturbedGreen(grid, G, Gmat, tilde, B, kappa_disc, mode,
+    return PerturbedGreen(grid, G, Gmat, tilde, kappa_disc, mode,
                           converged, residual, trace, lu)
 
 

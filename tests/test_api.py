@@ -46,6 +46,35 @@ def test_cli_commands_are_functions():
         assert inspect.isfunction(fn)
 
 
+def _sibling_uses(tree) -> list[tuple[str, str, int]]:
+    """(sibling module, public name, line) for each name a module takes from a sibling."""
+    uses, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module:
+                    uses.append((node.module, a.name, node.lineno))
+                elif a.name in MODULES:
+                    aliases[a.asname or a.name] = a.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            uses.append((aliases[node.value.id], node.attr, node.lineno))
+    return [u for u in uses if not u[1].startswith("_")]
+
+
+def test_names_used_across_modules_are_exported():
+    # the benchmark tracer wraps exactly the __all__ names of each module, so
+    # an unexported helper would hide its time inside its caller
+    hidden = []
+    for path in sorted(Path(levygreen.__path__[0]).glob("*.py")):
+        for module, name, line in _sibling_uses(ast.parse(path.read_text())):
+            exported = importlib.import_module(f"levygreen.{module}").__all__
+            if name not in exported:
+                hidden.append(f"{path.name}:{line} {module}.{name}")
+    assert not hidden
+
+
 # options that no caller set (now module constants) and members that no caller read
 REMOVED_KEYWORDS = {
     "kernels": {"compute_h": ["tol"], "compute_K": ["tol"], "compute_dK": ["tol"],
@@ -53,8 +82,9 @@ REMOVED_KEYWORDS = {
                 "check_table_invariants": ["interp_slack", "n_pairs", "seed"],
                 "check_K_subadditivity_exact": ["seed"],
                 "heat_kernel_envelope": ["comparability"]},
-    "models": {"check_unimodal": ["n_grid", "r_min", "r_max"]},
-    "kato": {"kato_modulus": ["x_grid", "span"], "is_kato": ["n_translates"]},
+    "models": {"check_unimodal": ["n_grid", "r_min", "r_max"], "custom_model": ["name"]},
+    "kato": {"kato_modulus": ["x_grid", "span"], "is_kato": ["n_translates", "tol"],
+             "custom_drift": ["singular_points"]},
     "perturbation": {"build_grid": ["order"], "solve_perturbed": ["tol", "max_iter"],
                      "comparability_report": ["n_bins"], "find_epsilon": ["bisection_steps"]},
     "green": {"numeric_table_green": ["order"]},
@@ -71,7 +101,13 @@ REMOVED_MEMBERS = {("models", "LevyModel"): ["key"],
                    ("montecarlo", "McEstimate"): ["to_dict"]}
 REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac"],
                   ("montecarlo", "ExitSample"): ["config"],
-                  ("perturbation", "NystromGrid"): ["grading"]}
+                  ("montecarlo", "McEstimate"): ["kind"],
+                  ("perturbation", "NystromGrid"): ["grading"],
+                  ("perturbation", "PerturbedGreen"): ["operator"],
+                  ("green", "GreenFunction"): ["kind"],
+                  ("models", "ScalingReport"): ["c_low", "C_high", "c_low_1", "theta_min",
+                                                "theta_max", "n_grid"]}
+REMOVED_NAMES = {"green": ["envelope_green"]}
 
 
 def test_removed_options_stay_gone():
@@ -88,6 +124,9 @@ def test_removed_options_stay_gone():
         cls = getattr(importlib.import_module(f"levygreen.{module}"), name)
         fields = {f.name for f in dataclasses.fields(cls)}
         back += [f"{module}.{name}.{f}" for f in removed if f in fields]
+    for module, names in REMOVED_NAMES.items():
+        mod = importlib.import_module(f"levygreen.{module}")
+        back += [f"{module}.{name}" for name in names if hasattr(mod, name)]
     assert not back
 
 

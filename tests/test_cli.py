@@ -14,6 +14,7 @@ SMALL_CFG = {
     "mc": {"paths": 2000, "dt": 0.001, "seed": 7, "bin_width": 0.005},
     "source": 0.0,
 }
+TRUNCATED = {"family": "truncated-stable", "alpha": 1.5, "truncation_radius": 0.3}
 
 
 @pytest.fixture()
@@ -185,12 +186,18 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("mc", {"mc": {"paths": 100, "seed": -1}}),
     ("mc --seed -1", {"mc": {"paths": 100}}),
     ("green --seed -1", {}),
+    ("kernels", {"model": TRUNCATED}),
+    ("kato", {"model": TRUNCATED}),
+    ("kato", {"drift": {"family": "bounded-smooth"}}),
+    ("mc", {"drift": {"family": "power-singularity", "beta": 0.3, "center": 0.5}}),
 ], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
         "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
         "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
         "kernels-points-per-decade-zero", "perturb-nodes-zero", "report-nodes-negative",
         "green-checker-grid-zero", "green-triples-zero", "mc-paths-fraction",
-        "mc-seed-negative", "mc-seed-flag-negative", "green-seed-flag-negative"])
+        "mc-seed-negative", "mc-seed-flag-negative", "green-seed-flag-negative",
+        "kernels-truncated-stable", "kato-truncated-stable", "kato-drift-bounded-smooth",
+        "mc-drift-power-singularity"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(SMALL_CFG, **patch)))

@@ -115,10 +115,11 @@ def test_V_inverse_refuses_extrapolation(table15):
 
 
 def test_V_dilation_bracket_from_scaling(table15, stable15):
+    # the exponents hold on the grid with constant one
     rep = models.estimate_scaling(stable15, 1e-2, 1e2)
     lam = 2.0
-    lo = np.sqrt(rep.c_low / (2 * kernels.C_PSI_BRACKET)) * lam ** (rep.alpha_low / 2)
-    hi = np.sqrt(2 * rep.C_high * kernels.C_PSI_BRACKET) * lam ** (rep.alpha_high / 2)
+    lo = np.sqrt(1.0 / (2 * kernels.C_PSI_BRACKET)) * lam ** (rep.alpha_low / 2)
+    hi = np.sqrt(2 * kernels.C_PSI_BRACKET) * lam ** (rep.alpha_high / 2)
     for r in (0.01, 0.5, 20.0):
         ratio = table15.V_at(lam * r) / table15.V_at(r)
         assert lo <= ratio <= hi

@@ -68,8 +68,6 @@ def test_scaling_stable_is_exact():
     assert rep.ok
     assert rep.alpha_low == pytest.approx(1.5, abs=1e-6)
     assert rep.alpha_high == pytest.approx(1.5, abs=1e-6)
-    assert rep.c_low == pytest.approx(1.0, abs=1e-9)
-    assert rep.C_high == pytest.approx(1.0, abs=1e-9)
     assert rep.alpha_low_1 == pytest.approx(1.5, abs=1e-6)
     assert rep.standing_assumption
 
@@ -83,7 +81,6 @@ def test_scaling_mixture_brackets():
     assert rep.alpha_high == pytest.approx(1.8, abs=0.02)
     assert rep.alpha_low_1 == pytest.approx(1.5, abs=0.02)
     assert rep.standing_assumption
-    assert rep.c_low <= 1.0 <= rep.C_high
 
 
 def test_scaling_degenerate_grid_keeps_exponents():
@@ -97,14 +94,51 @@ def test_scaling_bracket_order_all_families():
               models.stable_mixture_model([1.2, 1.8], [1.0, 1.0])):
         rep = models.estimate_scaling(m, 1e-2, 1e2)
         assert rep.alpha_low <= rep.alpha_high
-        assert rep.c_low <= 1.0 <= rep.C_high
     # the truncated family has a quadratic low-frequency regime; its symbol
     # is quadrature-priced, so certify it on a coarse grid
     rep = models.estimate_scaling(models.truncated_stable_model(1.5, 1.0),
                                   1e-1, 1e2, n_grid=24)
     assert rep.ok and rep.alpha_low <= rep.alpha_high
-    assert rep.c_low <= 1.0 <= rep.C_high
     assert rep.standing_assumption
+
+
+def _all_pair_scaling(model, theta_min, theta_max, n_grid):
+    """The exponents and constants from every grid pair's chord (the former algorithm)."""
+    theta = np.geomspace(theta_min, theta_max, n_grid)
+    vals = np.asarray(models.eval_psi(model, theta), dtype=float)
+    lt, lv = np.log(theta), np.log(vals)
+    dlt = lt[None, :] - lt[:, None]
+    dlv = lv[None, :] - lv[:, None]
+    pair = dlt > 0
+    slopes = np.where(pair, dlv / np.where(pair, dlt, 1.0), np.nan)
+
+    a_low = float(np.nanmin(slopes))
+    a_high = float(np.nanmax(slopes))
+    c_low = float(min(1.0, np.exp(np.nanmin(np.where(pair, dlv - a_low * dlt, np.nan)))))
+    C_high = float(max(1.0, np.exp(np.nanmax(np.where(pair, dlv - a_high * dlt, np.nan)))))
+
+    above = theta >= 1.0
+    if np.count_nonzero(above) >= 2:
+        sub = slopes[np.ix_(above, above)]
+        a_low_1 = float(np.nanmin(sub))
+    else:
+        a_low_1 = np.nan
+    return a_low, a_high, a_low_1, c_low, C_high
+
+
+@pytest.mark.parametrize("model,theta_min,theta_max,n_grid", [
+    (models.stable_model(1.5), 1e-3, 1e3, 384),
+    (models.stable_model(1.5), 1.0, 10.0, 16),
+    (models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]), 1e-3, 1e3, 384),
+    (models.truncated_stable_model(1.5, 1.0), 1e-1, 1e2, 24),
+], ids=["stable", "stable-one-decade", "mixture", "truncated"])
+def test_scaling_exponents_match_all_pair_chords(model, theta_min, theta_max, n_grid):
+    rep = models.estimate_scaling(model, theta_min, theta_max, n_grid=n_grid)
+    a_low, a_high, a_low_1, c_low, C_high = _all_pair_scaling(model, theta_min, theta_max,
+                                                              n_grid)
+    assert (rep.alpha_low, rep.alpha_high, rep.alpha_low_1) == (a_low, a_high, a_low_1)
+    # the pair that attains each exponent is among the pairs: both constants are one
+    assert abs(c_low - 1.0) <= 1e-12 and abs(C_high - 1.0) <= 1e-12
 
 
 def test_scaling_rejects_nonmonotone_symbol():
