@@ -41,6 +41,8 @@ __all__ = [
     "require_valid_scaling",
 ]
 
+_HEAD_SHELLS = 40       # dyadic shells toward 0 before the closing pass of a head integral
+
 
 @dataclass(frozen=True)
 class LevyModel:
@@ -196,11 +198,32 @@ def eval_nu(model: LevyModel, r):
     return model.nu(arr)
 
 
+def _dyadic_head(quad, f, top: float):
+    """int_0^top f as dyadic shells top*[2^-(k+1), 2^-k] plus one closing pass.
+
+    ``quad(f, a, b)`` returns a value and an error estimate; so does this.
+    Shells stop once one adds at most 1e-15 of the running total (after at
+    least five) or after ``_HEAD_SHELLS``; the closing pass on the rest of
+    (0, top) absorbs an integrable power singularity at 0.
+    """
+    total = err = 0.0
+    for k in range(_HEAD_SHELLS):
+        lo = top * 0.5 ** (k + 1)
+        piece, e = quad(f, lo, top * 0.5 ** k)
+        total += piece
+        err += e
+        if total > 0.0 and piece <= 1e-15 * total and k >= 4:
+            break
+    piece, e = quad(f, 0.0, lo)
+    return total + piece, err + e
+
+
 def _psi_by_quadrature(nu: Callable, x: float) -> float:
     """Symbol from the jump density: 2 int_0^inf (1 - cos(x z)) nu(z) dz.
 
     Rescaled to unit frequency so the oscillatory tail is well conditioned
-    for every x.
+    for every x.  The head on (0, 10) goes over dyadic shells, so a density
+    whose support lies close to u = 0 is not missed between sample points.
     """
     if x == 0.0:
         return 0.0
@@ -209,10 +232,12 @@ def _psi_by_quadrature(nu: Callable, x: float) -> float:
     def g(u):
         return nu(u / x) / x
 
+    def quad(f, a, b):
+        return integrate.quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-11)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = integrate.quad(lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u),
-                                 0.0, 10.0, limit=400, epsabs=0.0, epsrel=1e-11)
+        head, _ = _dyadic_head(quad, lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 10.0)
         flat, _ = integrate.quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0,
                                  limit=400, epsabs=1e-16, epsrel=1e-11)
         osc, _ = integrate.quad(g, 10.0, np.inf, weight="cos", wvar=1.0,

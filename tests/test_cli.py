@@ -34,6 +34,9 @@ def test_kernels_command(tmp_path, cfg_path):
     assert len(lines) == 4 + 16 * 8
     inv = json.loads((out / "kernel_invariants.json").read_text())
     assert inv["checks"]["all_pass"] is True
+    # quadrature diagnostics sit next to the verdict, not in kernels.csv
+    assert inv["checks"]["quadrature_oracle_rel_diff"] <= 1e-8
+    assert 0.0 <= inv["checks"]["max_est_rel_err"] <= 1e-10
     assert (out / "kernels.svg").exists()
 
 

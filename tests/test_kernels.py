@@ -129,6 +129,64 @@ def test_table_invariants_stable(table15):
     rep = kernels.check_table_invariants(table15)
     assert rep["all_pass"], rep
     assert np.isfinite(rep["dK_through_M_constant"])
+    assert rep["quadrature_oracle_rel_diff"] <= 1e-8
+    assert rep["max_est_rel_err"] <= 1e-10 and rep["scalar_fallbacks"] == 0
+
+
+def test_table_invariants_catch_a_value_off_the_oracle(table15):
+    t = table15
+    K = t.K.copy()
+    K[len(K) // 2] *= 1.0 + 1e-6
+    bad = kernels.KernelTable(t.model, t.r, t.h, t.V, t.M, K, t.dK, t.diam, t.err)
+    rep = kernels.check_table_invariants(bad)
+    assert not rep["quadrature_oracle_agrees"] and not rep["all_pass"]
+    assert rep["quadrature_oracle_rel_diff"] == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [1.15, 1.2, 1.5, 1.8, 1.9])
+def test_batched_stable_table_matches_closed_forms(alpha):
+    table = kernels.build_table(models.stable_model(alpha), diam=1.0, points_per_decade=16)
+    r, k1 = table.r, stable.kernel_at_one(alpha)
+    assert np.all(table.err <= 1e-10)           # no value came from the oracle
+    for got, want in ((table.h, stable.h_constant(alpha) * r ** -alpha),
+                      (table.K, k1 * r ** (alpha - 1.0)),
+                      (table.dK, (alpha - 1.0) * k1 * r ** (alpha - 2.0))):
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+def test_batched_mixture_table_matches_components_and_oracle():
+    alphas, weights = (1.2, 1.8), (1.0, 0.5)
+    m = models.stable_mixture_model(alphas, weights)
+    table = kernels.build_table(m, diam=1.0, points_per_decade=16)
+    r = table.r
+    want = sum(w * stable.h_constant(a) * r ** -a for a, w in zip(alphas, weights))
+    assert np.max(np.abs(table.h / want - 1.0)) <= 1e-12
+    for i in range(0, len(r), 16):
+        assert table.K[i] == pytest.approx(kernels._K_scalar(m, float(r[i])), rel=1e-9)
+        assert table.dK[i] == pytest.approx(kernels._dK_scalar(m, float(r[i])), rel=1e-9)
+
+
+def test_density_jump_takes_the_oracle_at_the_affected_radii():
+    # the jump at radius 30 sits inside one dyadic shell of every radius;
+    # it spoils the panel rule's error estimate where that shell matters
+    s = models.stable_model(ALPHA)
+    m = models.custom_model(nu=lambda x: s.nu(x) * np.where(np.asarray(x) < 30.0, 1.0, 0.5),
+                            psi=s.psi)
+    table = kernels.build_table(m, diam=1.0, points_per_decade=4)
+    oracle = ~(table.err[0] <= 1e-10)
+    assert 0 < np.count_nonzero(oracle) < len(table.r)
+    per_point = np.array([kernels.compute_h(m, float(x)) for x in table.r])
+    assert np.array_equal(table.h[oracle], per_point[oracle])
+    assert np.max(np.abs(table.h / per_point - 1.0)) <= 1e-9
+    # the symbol is smooth, so K and dK stay on the batched path
+    assert np.all(table.err[1:] <= 1e-10)
+    assert np.max(np.abs(table.K / (K1 * table.r ** (ALPHA - 1)) - 1.0)) <= 1e-12
+
+
+def test_tables_are_bit_identical_across_builds(table15):
+    again = kernels.build_table(table15.model, diam=2.0, points_per_decade=32)
+    for name in ("r", "h", "V", "M", "K", "dK", "err"):
+        assert np.array_equal(getattr(again, name), getattr(table15, name))
 
 
 def test_table_K_matches_homogeneous_form(table15):
@@ -194,3 +252,13 @@ def test_quadrature_failure_reports_tolerance():
                               psi=lambda x: np.abs(np.asarray(x, dtype=float)) ** 0.5)
     with pytest.raises((kernels.KernelQuadratureError, ValueError)):
         kernels.compute_K(bad, 1.0)
+
+
+def test_head_and_flat_error_estimates_count_toward_the_threshold(monkeypatch):
+    # the Fourier tails stay exact; only the non-oscillatory pieces report 1.0
+    quad = kernels._quad
+    monkeypatch.setattr(kernels, "_quad", lambda f, a, b, **kw: (quad(f, a, b, **kw)[0], 1.0))
+    m = models.stable_model(ALPHA)
+    for fn in (kernels.compute_K, kernels.compute_dK):
+        with pytest.raises(kernels.KernelQuadratureError, match="reached only"):
+            fn(m, 1.0)

@@ -63,6 +63,14 @@ def test_psi_from_nu_matches_closed_form():
         assert models.psi_from_nu(m, xi) == pytest.approx(xi ** 1.5, rel=1e-6)
 
 
+def test_psi_from_nu_finds_a_density_supported_near_zero():
+    # at low frequency the truncated density lives below u = 0.0217, the
+    # first sample point of a single adaptive pass over the head (0, 10)
+    m = models.truncated_stable_model(1.5, 0.3)
+    for xi in (0.01, 0.05, 0.0724, 1.0, 10.0):
+        assert models.psi_from_nu(m, xi) == pytest.approx(float(m.psi(xi)), rel=1e-8)
+
+
 def test_scaling_stable_is_exact():
     rep = models.estimate_scaling(models.stable_model(1.5), 1e-3, 1e3)
     assert rep.ok
