@@ -68,7 +68,7 @@ def _parse_drift(cfg: dict):
 def _parse_source(cfg: dict, domain: C11Set):
     """The source point, by default the midpoint of the first interval; it must lie in D."""
     x0 = cfg.get("source", 0.5 * sum(domain.intervals[0]))
-    if not isinstance(x0, (int, float)) or not domain.contains(x0):
+    if isinstance(x0, bool) or not isinstance(x0, (int, float)) or not domain.contains(x0):
         raise ConfigError(f"source {x0!r} is not a point of the domain")
     return x0
 
@@ -249,8 +249,7 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
         bins, val, se, sample = mc_mod.mc_green(model, drift, domain, x0, config)
     except FloatingPointError as exc:
         raise ConfigError(f"drift {drift.label}: {exc}") from exc
-    tau_mean = float(np.mean(sample.tau))
-    tau_se = float(np.std(sample.tau, ddof=1) / np.sqrt(sample.n_paths))
+    tau = mc_mod.mean_exit_estimate(sample)
     head = dict(seed=seed, dt=config.dt, paths=config.n_paths,
                 model=json.dumps(model.describe()), domain=json.dumps(domain.intervals),
                 drift=drift.label, source=x0)
@@ -266,11 +265,11 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
     _write_json(out / "mc_estimates.json",
                 {**_meta(digest, seed=seed, dt=config.dt, paths=config.n_paths),
                  "engine": sample.engine,
-                 "mean_exit_time": {"value": tau_mean, "se": tau_se},
+                 "mean_exit_time": {"value": tau.value, "se": tau.se},
                  "censored": sample.censored,
                  "occupation_total": float(np.sum(val * bins.widths))})
     svgplot.histogram(out / "mc_exit_law.svg", edges, counts, title="exit-position law")
-    print(f"mean exit time {tau_mean:.6g} +- {tau_se:.2g} "
+    print(f"mean exit time {tau.value:.6g} +- {tau.se:.2g} "
           f"({sample.censored} censored)")
     return 0
 

@@ -526,15 +526,11 @@ def gradient_tail_integrals(G: GreenFunction, b: Callable, thresholds,
     integral well defined.
     """
     D = G.domain
-    ys = _graded_axis(D, n_y)
-    out = []
-    for N in thresholds:
-        worst = 0.0
-        for yv in ys:
-            z, w = _domain_nodes(D, splits=(yv,), n_per_segment=64, grading=4.0)
-            dg = np.abs(np.asarray(G.grad_x(z, float(yv)), dtype=float))
-            mask = dg > N
-            val = float(np.sum(dg[mask] * np.abs(np.asarray(b(z), dtype=float))[mask] * w[mask]))
-            worst = max(worst, val)
-        out.append(worst)
+    out = [0.0] * len(thresholds)
+    for yv in _graded_axis(D, n_y):
+        z, w = _domain_nodes(D, splits=(yv,), n_per_segment=64, grading=4.0)
+        dg = np.abs(np.asarray(G.grad_x(z, float(yv)), dtype=float))
+        weighted = dg * np.abs(np.asarray(b(z), dtype=float)) * w
+        for k, N in enumerate(thresholds):
+            out[k] = max(out[k], float(np.sum(weighted[dg > N])))
     return out

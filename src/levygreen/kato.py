@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _TOL = 4.0              # the last modulus of a passing certificate is at most this
+_TRANSLATES = 128       # equispaced translates of each modulus's supremum
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,10 @@ def _window_integral(b: DriftField, table: KernelTable, x: float, r: float) -> f
     return total
 
 
-def kato_modulus(b: DriftField, table: KernelTable, r: float,
-                 n_translates: int = 512) -> float:
+def kato_modulus(b: DriftField, table: KernelTable, r: float) -> float:
     """sup over translates x of the windowed integral at window radius r.
 
-    The translates are ``n_translates`` equispaced points on
+    The translates are 128 equispaced points on
     [-2 diam, 2 diam] plus the declared singular points of the drift, where
     power drifts attain their supremum.  Grid translates share one
     power-substituted distance grid and are evaluated in a single vectorized
@@ -155,7 +155,7 @@ def kato_modulus(b: DriftField, table: KernelTable, r: float,
     """
     if r <= 0:
         raise ValueError("window radius must be positive")
-    xs = np.linspace(-2.0 * table.diam, 2.0 * table.diam, n_translates)
+    xs = np.linspace(-2.0 * table.diam, 2.0 * table.diam, _TRANSLATES)
 
     # shared sweep: int_0^r M(s) (|b(x+s)| + |b(x-s)|) ds on one grid
     s, w = mesh.power_panels(0.0, r, 8.0, 96, order=8, singular_end="left")
@@ -197,7 +197,7 @@ def is_kato(b: DriftField, table: KernelTable, r_sequence=None) -> KatoCertifica
         raise ValueError("the radius sequence must decrease")
     moduli = []
     for r in radii:
-        m = kato_modulus(b, table, r, n_translates=128)
+        m = kato_modulus(b, table, r)
         moduli.append(float(m))
         if not np.isfinite(m):
             break

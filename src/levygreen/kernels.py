@@ -8,11 +8,14 @@ compensated kernel
 
     K(x) = (1/pi) int_0^inf (1 - cos(x s)) / psi(s) ds,
 
-an oscillatory integral that we split at s = 10/|x|: the head is integrated
-directly, the tail is the difference of a smooth integral of 1/psi and a
-Fourier cosine integral.  ``compute_h``, ``compute_K`` and ``compute_dK``
-evaluate one point with QUADPACK (adaptive panels, oscillatory
-extrapolation for the Fourier tail) and are the oracle.
+an oscillatory integral that we rescale to unit frequency u = |x| s and
+split at u = 10: the head goes over dyadic shells, the tail is the
+difference of a smooth integral of 1/psi and a Fourier cosine integral (dK
+likewise, with a sine tail).  ``compute_h``, ``compute_K`` and
+``compute_dK`` evaluate one point with QUADPACK and are the oracle; K and
+dK take their split from ``models._unit_frequency``, as the quadrature
+symbol does, and its one QAWF call (oscillatory extrapolation) targets
+1e-12 of the rest of the integral, so the target stays relative at every x.
 
 A table caches all five kernels on a geometric radius grid and interpolates
 monotonically in log-log coordinates.  ``build_table`` evaluates h, K and dK
@@ -28,13 +31,11 @@ oracle.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
-from .models import LevyModel, _dyadic_head, _map_scalar
+from .models import LevyModel, _dyadic_head, _map_scalar, _unit_frequency
 
 __all__ = [
     "KernelQuadratureError",
@@ -50,7 +51,6 @@ __all__ = [
 
 C_PSI_BRACKET = np.pi ** 2 / 2.0   # h(r) <= C * psi(1/r); the lower factor is 1/2
 _TOL = 1e-10                        # relative target of every kernel quadrature
-_TAIL_REL = 1e-9                    # Fourier-tail target relative to its magnitude
 _INTERP_SLACK = 1e-6                # extra slack of checks that interpolate the table
 _MAX_PAIRS = 200_000                # pairwise checks sample this many grid pairs at most
 _ENVELOPE_CONSTANT = 10.0           # heat-kernel bracket: value / C .. value * C
@@ -65,26 +65,10 @@ class KernelQuadratureError(RuntimeError):
     """Raised when a kernel quadrature cannot reach its target tolerance."""
 
 
-def _quad(f, a, b, **kw):
-    val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=_TOL, limit=400, **kw)
+def _quad(f, a, b):
+    val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=_TOL, limit=400)
     if not np.isfinite(val):
         raise KernelQuadratureError(f"non-finite quadrature value on ({a}, {b})")
-    return val, err
-
-
-def _fourier_tail(g, kind: str) -> tuple[float, float]:
-    """Conditionally convergent Fourier tail int_10^inf g(u) sin/cos(u) du.
-
-    The absolute target must track the magnitude of the result or QUADPACK's
-    cycle extrapolation reports spurious non-convergence, so run a coarse
-    pass first and re-run with a magnitude-scaled target.
-    """
-    val, err = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0,
-                              limit=400, epsabs=1e-8)
-    scale = max(abs(val), 1e-3)
-    if err > _TAIL_REL * scale:
-        val, err = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0,
-                                  limit=400, epsabs=_TAIL_REL * scale)
     return val, err
 
 
@@ -138,19 +122,10 @@ def _K_scalar(model: LevyModel, x: float) -> float:
     x = abs(x)
     if x == 0.0:
         return 0.0
-
-    def g(u):
-        return 1.0 / (x * model.psi(u / x))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, e_head = _quad(lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 0.0, 10.0)
-        flat, e_flat = _quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0)
-        osc, e_osc = _fourier_tail(g, "cos")
-    val = (head + flat - osc) / np.pi
+    val, err, osc = _unit_frequency(_quad, lambda u: 1.0 / (x * model.psi(u / x)), "cos")
+    val /= np.pi
     if not np.isfinite(val) or val < 0:
         raise KernelQuadratureError(f"compensated kernel quadrature failed at x={x}")
-    err = e_head + e_flat + e_osc
     if err > max(1e-6 * abs(val), 1e-6 * abs(osc), 1e-10):
         raise KernelQuadratureError(f"quadrature reached only {err:.2e} absolute at x={x}")
     return val
@@ -165,17 +140,10 @@ def compute_dK(model: LevyModel, x) -> float:
 
 def _dK_scalar(model: LevyModel, x: float) -> float:
     # same unit-frequency rescaling as the kernel itself
-    def g(u):
-        return u / (x * x * model.psi(u / x))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, e_head = _quad(lambda u: np.sin(u) * g(u), 0.0, 10.0)
-        osc, e_osc = _fourier_tail(g, "sin")
-    val = (head + osc) / np.pi
+    val, err, osc = _unit_frequency(_quad, lambda u: u / (x * x * model.psi(u / x)), "sin")
+    val /= np.pi
     if not np.isfinite(val):
         raise KernelQuadratureError(f"kernel-derivative quadrature failed at x={x}")
-    err = e_head + e_osc
     if err > max(1e-6 * abs(val), 1e-6 * abs(osc), 1e-10):
         raise KernelQuadratureError(f"quadrature reached only {err:.2e} absolute at x={x}")
     return val

@@ -218,31 +218,48 @@ def _dyadic_head(quad, f, top: float):
     return total + piece, err + e
 
 
+def _unit_frequency(quad, g, kind: str):
+    """int_0^inf w(u) g(u) du for w = 1 - cos u (``kind`` "cos") or sin u ("sin").
+
+    ``quad(f, a, b)`` returns a value and an error estimate.  The head on
+    (0, 10) goes over dyadic shells (:func:`_dyadic_head`).  For "cos" the
+    rest is the flat tail int_10^inf g, taken as t = 10/u on (0, 1), minus
+    the Fourier tail int_10^inf g cos u; for "sin" it is the Fourier tail
+    int_10^inf g sin u.  The Fourier tail is one QUADPACK QAWF call (which
+    takes no relative target) with the absolute target 1e-12 |head + flat
+    tail|, so the target stays relative however small the integral is.
+    Returns the value, the summed error estimate and the Fourier tail.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        if kind == "cos":
+            head, err = _dyadic_head(quad, lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 10.0)
+            flat, e = quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0)
+            head, err = head + flat, err + e
+        else:
+            head, err = _dyadic_head(quad, lambda u: np.sin(u) * g(u), 10.0)
+        osc, e = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0, limit=400,
+                                epsabs=1e-12 * abs(head))
+    return head + (osc if kind == "sin" else -osc), err + e, osc
+
+
 def _psi_by_quadrature(nu: Callable, x: float) -> float:
     """Symbol from the jump density: 2 int_0^inf (1 - cos(x z)) nu(z) dz.
 
-    Rescaled to unit frequency so the oscillatory tail is well conditioned
-    for every x.  The head on (0, 10) goes over dyadic shells, so a density
-    whose support lies close to u = 0 is not missed between sample points.
+    Rescaled to unit frequency, 2 int_0^inf (1 - cos u) nu(u/x)/x du, so the
+    Fourier tail always starts at u = 10 with unit wavenumber, and summed by
+    :func:`_unit_frequency`.  Its dyadic head does not miss a density whose
+    support lies close to u = 0.
     """
     if x == 0.0:
         return 0.0
     x = abs(x)
 
-    def g(u):
-        return nu(u / x) / x
-
     def quad(f, a, b):
         return integrate.quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-11)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        head, _ = _dyadic_head(quad, lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 10.0)
-        flat, _ = integrate.quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0,
-                                 limit=400, epsabs=1e-16, epsrel=1e-11)
-        osc, _ = integrate.quad(g, 10.0, np.inf, weight="cos", wvar=1.0,
-                                limit=400, epsabs=1e-12)
-    return 2.0 * (head + flat - osc)
+    val, _, _ = _unit_frequency(quad, lambda u: nu(u / x) / x, "cos")
+    return 2.0 * val
 
 
 def psi_from_nu(model: LevyModel, xi) -> float:

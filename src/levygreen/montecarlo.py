@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -51,6 +51,7 @@ __all__ = [
     "sample_stable_increment",
     "simulate_exit",
     "mc_mean_exit_time",
+    "mean_exit_estimate",
     "mc_green",
     "mc_exit_law",
     "exit_histogram",
@@ -84,14 +85,14 @@ class PathConfig:
     small_jump_cutoff: float = 1e-2      # non-stable models only
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("need dt > 0")
+        for name in ("dt", "bin_width"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real) or not v > 0:
+                raise ValueError(f"{name} must be a number > 0, got {v!r}")
         for name, lo in (("n_paths", 1), ("seed", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
-        if self.bin_width <= 0:
-            raise ValueError("need bin_width > 0")
 
 
 @dataclass(frozen=True)
@@ -400,10 +401,11 @@ def _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass) -> None:
 
 def mc_mean_exit_time(model: LevyModel, b: Callable, D: C11Set, x0: float,
                       config: PathConfig) -> McEstimate:
-    return _mean_exit_estimate(simulate_exit(model, b, D, x0, config, track_occupation=False))
+    return mean_exit_estimate(simulate_exit(model, b, D, x0, config, track_occupation=False))
 
 
-def _mean_exit_estimate(s: ExitSample) -> McEstimate:
+def mean_exit_estimate(s: ExitSample) -> McEstimate:
+    """Mean of the sample's exit times and its standard error."""
     return McEstimate(float(np.mean(s.tau)),
                       float(np.std(s.tau, ddof=1) / np.sqrt(s.n_paths)),
                       s.n_paths)

@@ -168,8 +168,8 @@ def test_criterion_8_mean_exit_time(oracle15, unit_interval):
     cfg = mc.PathConfig(dt=1e-3, n_paths=1_000_000, seed=80)
     # the Euler loop itself; from the centre the walk on spheres is exact,
     # so its twin starts off centre
-    est = mc._mean_exit_estimate(mc._euler_exit(model, constant_drift(0.0), unit_interval,
-                                                0.0, cfg, track_occupation=False))
+    est = mc.mean_exit_estimate(mc._euler_exit(model, constant_drift(0.0), unit_interval,
+                                               0.0, cfg, track_occupation=False))
     mc_rel = abs(est.value - closed) / closed
     closed_off = stable.mean_exit_time(ALPHA, (-1, 1), 0.7)
     wos = mc.mc_mean_exit_time(model, constant_drift(0.0), unit_interval, 0.7, cfg)

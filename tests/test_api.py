@@ -83,7 +83,8 @@ REMOVED_KEYWORDS = {
                 "check_K_subadditivity_exact": ["seed"],
                 "heat_kernel_envelope": ["comparability"]},
     "models": {"check_unimodal": ["n_grid", "r_min", "r_max"], "custom_model": ["name"]},
-    "kato": {"kato_modulus": ["x_grid", "span"], "is_kato": ["n_translates", "tol"],
+    "kato": {"kato_modulus": ["x_grid", "span", "n_translates"],
+             "is_kato": ["n_translates", "tol"],
              "custom_drift": ["singular_points"]},
     "perturbation": {"build_grid": ["order"], "solve_perturbed": ["tol", "max_iter"],
                      "comparability_report": ["n_bins"], "find_epsilon": ["bisection_steps"]},
@@ -147,3 +148,19 @@ def test_only_the_cli_and_svgplot_write_files():
                 if name in FILE_CALLS:
                     writes.append(f"{path.name}:{node.lineno} {name}")
     assert not writes
+
+
+def test_only_the_unit_frequency_integrator_runs_qawf():
+    # one Fourier-tail rule (QUADPACK's QAWF, reached through quad's weight=)
+    # serves the K, dK and psi oracles
+    callers = []
+    for path in sorted(Path(levygreen.__path__[0]).glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "quad" and any(k.arg == "weight" for k in node.keywords):
+                    callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["models._unit_frequency"]

@@ -193,6 +193,9 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("kato", {"model": TRUNCATED}),
     ("kato", {"drift": {"family": "bounded-smooth"}}),
     ("mc", {"drift": {"family": "power-singularity", "beta": 0.3, "center": 0.5}}),
+    ("mc", {"domain": {"intervals": [[-2, 2]]}, "source": True}),
+    ("mc", {"mc": {"paths": 100, "dt": True}}),
+    ("mc", {"mc": {"paths": 100, "bin_width": True}}),
 ], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
         "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
         "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
@@ -200,7 +203,8 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
         "green-checker-grid-zero", "green-triples-zero", "mc-paths-fraction",
         "mc-seed-negative", "mc-seed-flag-negative", "green-seed-flag-negative",
         "kernels-truncated-stable", "kato-truncated-stable", "kato-drift-bounded-smooth",
-        "mc-drift-power-singularity"])
+        "mc-drift-power-singularity", "mc-source-boolean", "mc-dt-boolean",
+        "mc-bin-width-boolean"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(SMALL_CFG, **patch)))

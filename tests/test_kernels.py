@@ -68,6 +68,18 @@ def test_K_quadrature_against_gamma_closed_form():
         assert kernels.compute_K(mm, 1.0) == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [1.8, 1.9])
+def test_K_and_dK_quadrature_relative_at_small_radii(alpha):
+    # K ~ x^(alpha-1) is far below one here, so only a Fourier-tail target
+    # relative to the integral keeps the oracle at its 1e-10 target
+    m = models.stable_model(alpha)
+    k1 = stable.kernel_at_one(alpha)
+    for x in (1e-6, 1e-4):
+        assert abs(kernels.compute_K(m, x) / (k1 * x ** (alpha - 1.0)) - 1.0) <= 1e-12
+        assert abs(kernels.compute_dK(m, x) / ((alpha - 1.0) * k1 * x ** (alpha - 2.0))
+                   - 1.0) <= 1e-12
+
+
 def test_K_dilation_homogeneity():
     m = models.stable_model(ALPHA)
     for x in (0.05, 0.8, 12.0):

@@ -63,6 +63,14 @@ def test_psi_from_nu_matches_closed_form():
         assert models.psi_from_nu(m, xi) == pytest.approx(xi ** 1.5, rel=1e-6)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 1.9])
+def test_psi_from_nu_relative_at_low_frequency(alpha):
+    # psi = xi^alpha is far below any fixed absolute target here
+    m = models.stable_model(alpha)
+    for xi in (1e-6, 1e-4):
+        assert abs(models.psi_from_nu(m, xi) / xi ** alpha - 1.0) <= 1e-12
+
+
 def test_psi_from_nu_finds_a_density_supported_near_zero():
     # at low frequency the truncated density lives below u = 0.0217, the
     # first sample point of a single adaptive pass over the head (0, 10)

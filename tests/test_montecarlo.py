@@ -180,8 +180,8 @@ def test_drift_shifts_exit_law(stable15, unit_interval):
 
 
 def _euler_mean_exit(model, D, x0, config):
-    return mc._mean_exit_estimate(mc._euler_exit(model, ZERO, D, x0, config,
-                                                 track_occupation=False))
+    return mc.mean_exit_estimate(mc._euler_exit(model, ZERO, D, x0, config,
+                                                track_occupation=False))
 
 
 def test_mean_exit_time_against_closed_form(stable15, unit_interval):
@@ -219,7 +219,7 @@ def test_mean_exit_time_step_halving_within_se(stable15, unit_interval):
 def test_mean_exit_vanishes_at_boundary(stable15, unit_interval):
     closed0 = stable.mean_exit_time(ALPHA, (-1, 1), 0.0)
     for engine, simulate in ENGINES.items():
-        est = mc._mean_exit_estimate(simulate(
+        est = mc.mean_exit_estimate(simulate(
             stable15, ZERO, unit_interval, 0.995, mc.PathConfig(dt=1e-3, n_paths=4000, seed=3),
             track_occupation=False))
         assert est.value < 0.05 * closed0, engine
@@ -267,7 +267,7 @@ def test_occupation_identity(stable15, unit_interval):
 def test_se_scales_with_paths(stable15, unit_interval):
     # the walk on spheres starts off centre: from the centre its tau is exact
     for (engine, simulate), x0 in zip(ENGINES.items(), (0.0, 0.5)):
-        e1, e2 = (mc._mean_exit_estimate(simulate(
+        e1, e2 = (mc.mean_exit_estimate(simulate(
             stable15, ZERO, unit_interval, x0, mc.PathConfig(dt=4e-3, n_paths=n, seed=seed),
             track_occupation=False)) for n, seed in ((10000, 31), (40000, 32)))
         assert e2.se == pytest.approx(0.5 * e1.se, rel=0.2), engine
@@ -344,7 +344,7 @@ def test_walk_on_spheres_cross_checks_numeric_union_green(stable15, two_interval
                                    mc.PathConfig(dt=5e-4, n_paths=200_000, seed=17,
                                                  bin_width=0.1))
     assert s.engine == "walk-on-spheres"
-    est = mc._mean_exit_estimate(s)
+    est = mc.mean_exit_estimate(s)
     assert est.agrees_with(green.exit_time_from_green(numeric15, x0), n_se=3.5)
     assert est.se < 2e-3 * est.value
     z = np.abs(val - _bin_averages(numeric15, x0, bins)) / se
