@@ -59,14 +59,6 @@ class C11Set:
             inside |= (x > a) & (x < b)
         return inside if inside.ndim else bool(inside)
 
-    def component_index(self, x):
-        """Index of the interval containing each point, -1 outside."""
-        x = np.asarray(x, dtype=float)
-        idx = np.full(x.shape, -1, dtype=int)
-        for i, (a, b) in enumerate(self.intervals):
-            idx[(x > a) & (x < b)] = i
-        return idx if idx.ndim else int(idx)
-
 
 def interval_union(*endpoints) -> C11Set:
     """Convenience constructor: interval_union((-1, -0.2), (0.2, 1))."""

@@ -93,7 +93,8 @@ REMOVED_KEYWORDS = {
     "montecarlo": {"mc_exit_law": ["hist_range", "hist_bins"]},
     "svgplot": {"line_plot": ["logx", "logy"]},
 }
-REMOVED_MEMBERS = {("models", "LevyModel"): ["key"],
+REMOVED_MEMBERS = {("geometry", "C11Set"): ["component_index"],
+                   ("models", "LevyModel"): ["key"],
                    ("models", "ScalingReport"): ["to_dict"],
                    ("kernels", "KernelTable"): ["h_at", "dK_at", "export_csv"],
                    ("green", "TripleStat"): ["to_dict"],

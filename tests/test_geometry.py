@@ -59,10 +59,7 @@ def test_distortion_at_least_one():
         assert D.distortion >= 1.0
 
 
-def test_component_index_and_contains():
+def test_contains():
     D = interval_union((-1, -0.2), (0.2, 1))
-    assert D.component_index(-0.5) == 0
-    assert D.component_index(0.5) == 1
-    assert D.component_index(0.0) == -1
     assert not D.contains(np.array([0.0, -1.0, 2.0])).any()
     assert D.contains(np.array([-0.5, 0.5])).all()

@@ -221,6 +221,27 @@ def test_exact_subadditivity_check(table15):
     assert kernels.check_K_subadditivity_exact(small, n_cross=64)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_exact_subadditivity_check_sees_one_off_grid_K_off_by_1e8(table15, monkeypatch, k):
+    # K(2 r_0) is spot-checked against the oracle; K(2 r_1) lies between the
+    # spot checks, so the table is made tight there, K(r_1) = K(2 r_1) / 2
+    t = kernels.build_table(table15.model, diam=1.0, points_per_decade=8, span=(1e-3, 1e1))
+    K = t.K.copy()
+    if k == 1:
+        K[1] = kernels._kernel_values(t.model, 2.0 * t.r[1:2])[0][1, 0] / 2.0
+    t = kernels.KernelTable(t.model, t.r, t.h, t.V, t.M, K, t.dK, t.diam, t.err)
+    assert kernels.check_K_subadditivity_exact(t, n_cross=64)
+    exact = kernels._kernel_values
+
+    def mutated(model, r):
+        vals, err = exact(model, r)
+        vals[1, k] *= 1.0 + 1e-8            # K at 2 r_k
+        return vals, err
+
+    monkeypatch.setattr(kernels, "_kernel_values", mutated)
+    assert not kernels.check_K_subadditivity_exact(t, n_cross=64)
+
+
 def test_heat_kernel_envelope_branches(table15):
     # at the origin the time branch is active
     v0, lo, hi = kernels.heat_kernel_envelope(table15, 1.0, 0.0)

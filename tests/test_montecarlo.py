@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from levygreen import green, models, montecarlo as mc, stable
-from levygreen.geometry import interval_union
+from levygreen.geometry import delta, interval_union
 from levygreen.kato import constant_drift, sin_drift
 
 ALPHA = 1.5
@@ -36,6 +36,28 @@ def test_increment_tail_exponent():
     surv = np.array([(z > t).mean() for t in ts])
     slope = np.polyfit(np.log(ts), np.log(surv), 1)[0]
     assert slope == pytest.approx(-ALPHA, rel=0.05)
+
+
+def _cms_textbook(alpha, u, w):
+    """Chambers-Mallows-Stuck transform in the form of the 1976 paper: sin, cos and pow."""
+    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.25, 1.5, 1.75, 1.95])
+def test_cms_matches_textbook_formula(alpha):
+    rng = np.random.default_rng(6)
+    u, w = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, 10 ** 5), rng.standard_exponential(10 ** 5)
+    # u within 1e-15 of +-pi/2 and u = 0, against w from 1e-300 to 50
+    edge = 0.5 * np.pi - np.append(np.spacing(0.5 * np.pi) * np.arange(5), 1e-15)
+    ue, we = np.meshgrid(np.concatenate([edge, -edge, u[:20], [0.0]]),
+                         np.geomspace(1e-300, 50.0, 61))
+    u, w = np.concatenate([u, ue.ravel()]), np.concatenate([w, we.ravel()])
+    ref = _cms_textbook(alpha, u, w)
+    got = mc._cms(alpha, u, w)
+    assert np.all(np.isfinite(ref))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_increment_rejects_bad_index():
@@ -92,7 +114,7 @@ def _euler_two_lookups(model, b, D, x0, config):
         ctau = np.empty(m)
         cpos = np.empty(m)
         while len(alive):
-            dist = np.asarray(mc.delta(D, x), dtype=float)
+            dist = np.asarray(delta(D, x), dtype=float)
             dtv = config.dt * np.minimum(
                 np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha_eff
             occ_chunk[alive, _bin_index_oracle(bins, x)] += 0.5 * dtv
