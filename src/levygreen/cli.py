@@ -6,7 +6,9 @@ with the same config and seed reproduces the numeric content byte for byte
 (single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error,
 raised before any artifact is written; green, perturb and report refuse every
 model family but ``stable`` with 2, and kernels and kato refuse
-``truncated-stable``.  Only this module and ``svgplot`` write
+``truncated-stable`` and any model whose lower scaling exponent above
+frequency one is at most one (``models.require_valid_scaling``), the
+paper's weak lower scaling hypothesis.  Only this module and ``svgplot`` write
 files: the computing modules return arrays and result dataclasses, and the
 CSV and JSON formats are decided here.
 """
@@ -150,10 +152,15 @@ def _green_for(model, domain, n_nodes):
 
 def _table_for(model, domain, points_per_decade):
     # the truncated-stable symbol is itself a quadrature, which every kernel
-    # quadrature would nest: one table point then takes minutes
+    # quadrature would nest: one table point then takes minutes; so would the
+    # scaling check, which therefore comes second
     if model.family == "truncated-stable":
         raise ConfigError("kernel tables need a closed-form symbol, "
                           "not the quadrature symbol of 'truncated-stable'")
+    try:
+        models.require_valid_scaling(model)
+    except ValueError as exc:
+        raise ConfigError(f"kernel tables: {exc}") from exc
     return kernels.build_table(model, diam=domain.diam, points_per_decade=points_per_decade)
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "stable_oracle",
     "numeric_table_green",
     "green_envelope",
-    "green_punctured_line",
     "exit_density",
     "poisson_kernel",
     "poisson_mass",
@@ -52,7 +51,6 @@ __all__ = [
     "three_g_constant",
     "kappa",
     "kappa_sup",
-    "gradient_tail_integrals",
 ]
 
 
@@ -99,15 +97,6 @@ def green_envelope(D: C11Set, table: KernelTable, x, y):
     core = np.minimum(1.0 / np.sqrt(dxs * dys), 1.0 / np.maximum(gap, 1e-300))
     out = np.where(inside, table.V_at(dxs) * table.V_at(dys) * core, 0.0)
     return out if out.ndim else float(out)
-
-
-def green_punctured_line(table: KernelTable, x, y):
-    """Green function of the line with one point removed, from the compensated kernel."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x == 0.0) or np.any(y == 0.0):
-        raise ValueError("arguments must avoid the removed point 0")
-    return table.K_at(x) + table.K_at(y) - table.K_at(y - x)
 
 
 def numeric_table_green(alpha: float, domain: C11Set,
@@ -516,21 +505,3 @@ def kappa_sup(G: GreenFunction, b: Callable, n_grid: int = 16) -> float:
             best = max(best, kappa(G, b, float(xv), float(yv)))
     return best
 
-
-def gradient_tail_integrals(G: GreenFunction, b: Callable, thresholds,
-                            n_y: int = 24) -> list[float]:
-    """Decay of sup_y int over {|dG(z,y)| > N} of |dG(z,y)| |b(z)| dz in N.
-
-    A decreasing sequence certifies that the Green gradient is uniformly
-    integrable against the drift, which is what makes the perturbation
-    integral well defined.
-    """
-    D = G.domain
-    out = [0.0] * len(thresholds)
-    for yv in _graded_axis(D, n_y):
-        z, w = _domain_nodes(D, splits=(yv,), n_per_segment=64, grading=4.0)
-        dg = np.abs(np.asarray(G.grad_x(z, float(yv)), dtype=float))
-        weighted = dg * np.abs(np.asarray(b(z), dtype=float)) * w
-        for k, N in enumerate(thresholds):
-            out[k] = max(out[k], float(np.sum(weighted[dg > N])))
-    return out

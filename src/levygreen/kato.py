@@ -182,19 +182,15 @@ class KatoCertificate:
     drift: dict
 
 
-def is_kato(b: DriftField, table: KernelTable, r_sequence=None) -> KatoCertificate:
+def is_kato(b: DriftField, table: KernelTable) -> KatoCertificate:
     """Certify the drift: the moduli must stay finite, decrease, and end at most 4.
 
-    The radius sequence must decrease; divergent window integrals (detected
-    by power counting at the poles) fail immediately.  Each modulus takes
-    its supremum over 128 translates.  The bound 4 is recorded as the
-    certificate's ``tol``.
+    The window radii are six, from 1e-1 diam down to 1e-6 diam by factors
+    of ten; divergent window integrals (detected by power counting at the
+    poles) fail immediately.  Each modulus takes its supremum over 128
+    translates.  The bound 4 is recorded as the certificate's ``tol``.
     """
-    if r_sequence is None:
-        r_sequence = np.geomspace(1e-1, 1e-6, 6) * table.diam
-    radii = tuple(float(r) for r in r_sequence)
-    if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise ValueError("the radius sequence must decrease")
+    radii = tuple(float(r) for r in np.geomspace(1e-1, 1e-6, 6) * table.diam)
     moduli = []
     for r in radii:
         m = kato_modulus(b, table, r)

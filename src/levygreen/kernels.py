@@ -40,20 +40,18 @@ from .models import LevyModel, _dyadic_head, _map_scalar, _unit_frequency
 __all__ = [
     "KernelQuadratureError",
     "compute_h",
-    "compute_V",
     "compute_K",
     "compute_dK",
     "KernelTable",
     "build_table",
-    "heat_kernel_envelope",
     "check_table_invariants",
 ]
 
 C_PSI_BRACKET = np.pi ** 2 / 2.0   # h(r) <= C * psi(1/r); the lower factor is 1/2
 _TOL = 1e-10                        # relative target of every kernel quadrature
+_REL_SLACK = 1e-9                   # relative slack of the invariant checks
 _INTERP_SLACK = 1e-6                # extra slack of checks that interpolate the table
 _MAX_PAIRS = 200_000                # pairwise checks sample this many grid pairs at most
-_ENVELOPE_CONSTANT = 10.0           # heat-kernel bracket: value / C .. value * C
 _ORACLE_REL = 1e-8                  # table values against the QUADPACK oracle
 _PANELS = 40                        # shells or half-periods in each batched panel sequence
 _BLOCK = 32                         # radii per batched evaluation (a few MB of nodes)
@@ -103,13 +101,6 @@ def compute_h(model: LevyModel, r: float) -> float:
         raise KernelQuadratureError(
             f"h quadrature reached only {err:.2e} absolute at r={r}")
     return val
-
-
-def compute_V(model: LevyModel, r) -> float:
-    """Boundary scale function V = 1/sqrt(h), with V(0) = 0."""
-    if np.any(np.asarray(r) < 0):
-        raise ValueError("radius must be nonnegative")
-    return _map_scalar(lambda x: 0.0 if x == 0.0 else 1.0 / np.sqrt(compute_h(model, x)), r)
 
 
 def compute_K(model: LevyModel, x) -> float:
@@ -284,9 +275,8 @@ class KernelTable:
     """Write-once grid of the kernel hierarchy with log-log interpolation.
 
     Built by :func:`build_table`; immutable afterwards and safe to share.
-    ``V_inverse`` refuses values outside the tabulated range instead of
-    extrapolating; ``M_at`` can extend below the grid by the fitted low-end
-    power law, which the Kato-class machinery needs for shrinking windows.
+    ``M_at`` can extend below the grid by the fitted low-end power law,
+    which the Kato-class machinery needs for shrinking windows.
     ``err`` (shape (3, n)) is the estimated relative error of the batched h,
     K and dK at each point; where it is above 1e-10 or not finite, the
     table holds the QUADPACK oracle's value instead.
@@ -307,7 +297,6 @@ class KernelTable:
         self._V = PchipInterpolator(lr, np.log(V))
         self._M = PchipInterpolator(lr, np.log(M))
         self._K = PchipInterpolator(lr, np.log(K))
-        self._Vinv = PchipInterpolator(np.log(V), lr)
         # low-end power behavior, for explicit extension of M below the grid
         k = max(2, len(r) // 16)
         self._M_slope = (np.log(M[k]) - np.log(M[0])) / (lr[k] - lr[0])
@@ -351,14 +340,6 @@ class KernelTable:
             out[~zero] = self._eval(self._K, arr[~zero], "K")
         return out if out.ndim else float(out)
 
-    def V_inverse(self, v):
-        arr = np.asarray(v, dtype=float)
-        if np.any(arr < self.V[0] * (1 - 1e-12)) or np.any(arr > self.V[-1] * (1 + 1e-12)):
-            raise ValueError(
-                f"V_inverse: value outside tabulated range [{self.V[0]:.3e}, {self.V[-1]:.3e}]")
-        out = np.exp(self._Vinv(np.log(np.clip(arr, self.V[0], self.V[-1]))))
-        return out if out.ndim else float(out)
-
 
 def build_table(model: LevyModel, diam: float = 1.0, points_per_decade: int = 128,
                 span: tuple[float, float] = (1e-6, 1e2)) -> KernelTable:
@@ -377,31 +358,10 @@ def build_table(model: LevyModel, diam: float = 1.0, points_per_decade: int = 12
     return KernelTable(model, r, h, V, M, K, dK, diam, err)
 
 
-def heat_kernel_envelope(table: KernelTable, t: float, x):
-    """Transition-density envelope f(t,x) = [V^{-1}(sqrt t)]^{-1} ^ t/(V^2(|x|)|x|).
-
-    Returns (value, lower, upper) where the bracket is value divided and
-    multiplied by 10; the theory guarantees a finite comparability constant
-    but does not quantify it.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-    arr = np.abs(np.asarray(x, dtype=float))
-    near = 1.0 / table.V_inverse(np.sqrt(t))
-    with np.errstate(over="ignore", divide="ignore"):
-        far = np.where(arr > 0,
-                       t / (table.V_at(np.maximum(arr, table.r[0])) ** 2
-                            * np.maximum(arr, 1e-300)),
-                       np.inf)
-    val = np.minimum(near, far)
-    val = val if val.ndim else float(val)
-    return val, val / _ENVELOPE_CONSTANT, val * _ENVELOPE_CONSTANT
-
-
-def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9) -> dict:
+def check_table_invariants(table: KernelTable) -> dict:
     """Monotonicity and subadditivity checks at tabulated points.
 
-    Checks involving only stored grid values use ``rel_slack``; the pairwise
+    Checks involving only stored grid values allow a relative 1e-9; the pairwise
     subadditivity of K must evaluate the kernel between nodes and therefore
     allows a relative 1e-6 on top (see :func:`check_K_subadditivity_exact`
     for the slower interpolation-free variant).  Pairwise checks use every
@@ -417,9 +377,9 @@ def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9) -> dict:
     r, h, V, K, dK, M = table.r, table.h, table.V, table.K, table.dK, table.M
     rep: dict = {}
 
-    rep["h_nonincreasing"] = bool(np.all(h[1:] <= h[:-1] * (1 + rel_slack)))
-    rep["V_nondecreasing"] = bool(np.all(V[1:] >= V[:-1] * (1 - rel_slack)))
-    rep["M_decreasing"] = bool(np.all(M[1:] <= M[:-1] * (1 + rel_slack)))
+    rep["h_nonincreasing"] = bool(np.all(h[1:] <= h[:-1] * (1 + _REL_SLACK)))
+    rep["V_nondecreasing"] = bool(np.all(V[1:] >= V[:-1] * (1 - _REL_SLACK)))
+    rep["M_decreasing"] = bool(np.all(M[1:] <= M[:-1] * (1 + _REL_SLACK)))
     rep["M_blows_up"] = bool(table._M_slope < -1e-3)
 
     # V(r) <= V(lam r) <= lam V(r) over grid pairs
@@ -435,8 +395,8 @@ def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9) -> dict:
         i, j = np.minimum(i, j), np.maximum(i, j) + 1
     lam = r[j] / r[i]
     rep["V_subadditive_bracket"] = bool(
-        np.all(V[j] >= V[i] * (1 - rel_slack))
-        and np.all(V[j] <= lam * V[i] * (1 + rel_slack)))
+        np.all(V[j] >= V[i] * (1 - _REL_SLACK))
+        and np.all(V[j] <= lam * V[i] * (1 + _REL_SLACK)))
 
     # K(x + y) <= K(x) + K(y); the sum falls between nodes, hence the extra slack
     s = r[i] + r[j]
@@ -453,8 +413,8 @@ def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9) -> dict:
     # h(r) against the symbol at the reciprocal radius
     psi_vals = np.asarray(table.model.psi(1.0 / r), dtype=float)
     rep["h_psi_bracket"] = bool(
-        np.all(h >= 0.5 * psi_vals * (1 - rel_slack))
-        and np.all(h <= C_PSI_BRACKET * psi_vals * (1 + rel_slack)))
+        np.all(h >= 0.5 * psi_vals * (1 - _REL_SLACK))
+        and np.all(h <= C_PSI_BRACKET * psi_vals * (1 + _REL_SLACK)))
 
     idx = [0, n // 2, n - 1]
     oracle = np.array([[fn(table.model, float(r[i])) for i in idx] for fn in _ORACLES])
@@ -469,15 +429,15 @@ def check_table_invariants(table: KernelTable, rel_slack: float = 1e-9) -> dict:
     return rep
 
 
-def check_K_subadditivity_exact(table: KernelTable, rel_slack: float = 1e-9,
-                                n_cross: int = 512) -> bool:
+def check_K_subadditivity_exact(table: KernelTable, n_cross: int = 512) -> bool:
     """Interpolation-free subadditivity of K at acceptance-grade slack.
 
     Verifies K(2r) <= 2 K(r) at every tabulated point and K(x+y) <= K(x)+K(y)
     on a sample of grid pairs drawn with seed 0.  Every off-grid kernel value
     is computed, not looked up in the table: by the batched evaluator of
     ``build_table``, with its oracle fallback, and at every 64th of those
-    radii the QUADPACK oracle must agree to ``rel_slack``.
+    radii the QUADPACK oracle must agree to a relative 1e-9, the slack of
+    both inequalities.
     """
     r, K = table.r, table.K
     rng = np.random.default_rng(0)
@@ -487,8 +447,8 @@ def check_K_subadditivity_exact(table: KernelTable, rel_slack: float = 1e-9,
     Kx = _kernel_values(table.model, x)[0][1]
     spot = Kx[::_SPOT_STRIDE]
     oracle = np.array([_K_scalar(table.model, float(t)) for t in x[::_SPOT_STRIDE]])
-    if not np.all(np.abs(spot - oracle) <= rel_slack * oracle):
+    if not np.all(np.abs(spot - oracle) <= _REL_SLACK * oracle):
         return False
     K2, Ks = Kx[:len(r)], Kx[len(r):]
-    return bool(np.all(K2 <= 2.0 * K * (1 + rel_slack))
-                and np.all(Ks <= (K[i] + K[j]) * (1 + rel_slack)))
+    return bool(np.all(K2 <= 2.0 * K * (1 + _REL_SLACK))
+                and np.all(Ks <= (K[i] + K[j]) * (1 + _REL_SLACK)))

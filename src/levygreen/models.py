@@ -9,6 +9,8 @@ The toolkit works under a standing power-growth hypothesis: the symbol must
 grow super-linearly at high frequency.  ``estimate_scaling`` certifies this
 numerically as extremal chord slopes of log psi over a geometric frequency
 grid, and ``require_valid_scaling`` refuses models that fail the check.
+Every CLI command that builds a kernel table calls it first
+(``cli._table_for``) and reports a refusal as a config error.
 """
 
 from __future__ import annotations
@@ -33,11 +35,7 @@ __all__ = [
     "model_from_config",
     "stable_index",
     "eval_psi",
-    "eval_nu",
-    "psi_from_nu",
     "estimate_scaling",
-    "check_unimodal",
-    "check_levy_integrability",
     "require_valid_scaling",
 ]
 
@@ -140,7 +138,11 @@ def _psi_truncated_scalar(alpha: float, c: float, radius: float, x: float) -> fl
 
 
 def custom_model(nu: Callable, psi: Callable | None = None) -> LevyModel:
-    """Model from a user jump density; the symbol defaults to quadrature of nu."""
+    """Model from a user jump density; the symbol defaults to quadrature of nu.
+
+    The caller must supply a nonincreasing ``nu`` (a unimodal process); it is
+    not checked.  The config families are nonincreasing by construction.
+    """
     if psi is None:
         def psi(xi):
             return _map_scalar(lambda t: _psi_by_quadrature(nu, t), xi)
@@ -188,14 +190,6 @@ def eval_psi(model: LevyModel, xi):
     if np.any(arr < 0):
         raise ValueError("frequency must be nonnegative")
     return model.psi(arr)
-
-
-def eval_nu(model: LevyModel, r):
-    """Jump density at radius r > 0."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise ValueError("radius must be positive")
-    return model.nu(arr)
 
 
 def _dyadic_head(quad, f, top: float):
@@ -260,11 +254,6 @@ def _psi_by_quadrature(nu: Callable, x: float) -> float:
 
     val, _, _ = _unit_frequency(quad, lambda u: nu(u / x) / x, "cos")
     return 2.0 * val
-
-
-def psi_from_nu(model: LevyModel, xi) -> float:
-    """Quadrature evaluation of the symbol from the jump density (cross-check path)."""
-    return _map_scalar(lambda t: _psi_by_quadrature(model.nu, t), xi)
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +327,3 @@ def require_valid_scaling(model: LevyModel, **kwargs) -> ScalingReport:
             f"{rep.alpha_low_1:.4f} <= 1")
     return rep
 
-
-def check_unimodal(model: LevyModel) -> bool:
-    """True iff the jump density is nonincreasing on 256 geometric radii in [1e-6, 1e2]."""
-    r = np.geomspace(1e-6, 1e2, 256)
-    v = np.asarray(eval_nu(model, r), dtype=float)
-    return bool(np.all(np.diff(v) <= 1e-12 * np.maximum(v[:-1], 1e-300)))
-
-
-def check_levy_integrability(model: LevyModel) -> float:
-    """Quadrature value of int (1 ^ z^2) nu(z) dz; raises if it diverges."""
-    head, _ = integrate.quad(lambda z: z * z * model.nu(z), 0.0, 1.0, limit=200)
-    tail, _ = integrate.quad(lambda t: model.nu(1.0 / t) / (t * t), 0.0, 1.0, limit=200)
-    total = 2.0 * (head + tail)
-    if not np.isfinite(total):
-        raise ValueError("jump density fails the integrability requirement")
-    return total

@@ -102,10 +102,10 @@ def test_criterion_4_kernel_invariant_suite():
     ok = True
     for m in cases:
         table = kernels.build_table(m, diam=1.0, points_per_decade=128)
-        rep = kernels.check_table_invariants(table, rel_slack=1e-9)
+        rep = kernels.check_table_invariants(table)
         core = (rep["V_subadditive_bracket"] and rep["h_nonincreasing"]
                 and rep["dK_through_M_finite"])
-        ksub = kernels.check_K_subadditivity_exact(table, rel_slack=1e-9, n_cross=256)
+        ksub = kernels.check_K_subadditivity_exact(table, n_cross=256)
         ok = ok and core and ksub
         tag = m.family if m.alpha is None else f"stable({m.alpha})"
         details.append(f"{tag}:{'ok' if core and ksub else 'FAIL'}")

@@ -15,6 +15,8 @@ SMALL_CFG = {
     "source": 0.0,
 }
 TRUNCATED = {"family": "truncated-stable", "alpha": 1.5, "truncation_radius": 0.3}
+# lower scaling exponent 0.75 above frequency one: the paper's hypothesis needs > 1
+SUBLINEAR = {"family": "stable-mixture", "alphas": [0.6, 0.9]}
 
 
 @pytest.fixture()
@@ -196,6 +198,8 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("mc", {"domain": {"intervals": [[-2, 2]]}, "source": True}),
     ("mc", {"mc": {"paths": 100, "dt": True}}),
     ("mc", {"mc": {"paths": 100, "bin_width": True}}),
+    ("kernels", {"model": SUBLINEAR}),
+    ("kato", {"model": SUBLINEAR}),
 ], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
         "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
         "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
@@ -204,7 +208,7 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
         "mc-seed-negative", "mc-seed-flag-negative", "green-seed-flag-negative",
         "kernels-truncated-stable", "kato-truncated-stable", "kato-drift-bounded-smooth",
         "mc-drift-power-singularity", "mc-source-boolean", "mc-dt-boolean",
-        "mc-bin-width-boolean"])
+        "mc-bin-width-boolean", "kernels-sublinear-mixture", "kato-sublinear-mixture"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(SMALL_CFG, **patch)))

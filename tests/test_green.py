@@ -5,10 +5,9 @@ from scipy.special import betainc
 
 from levygreen import green, kernels, models, stable
 from levygreen.geometry import delta, interval_union
-from levygreen.kato import constant_drift, power_drift, sin_drift
+from levygreen.kato import constant_drift, power_drift
 
 ALPHA = 1.5
-K1 = stable.kernel_at_one(ALPHA)
 A = stable.h_constant(ALPHA)
 
 
@@ -135,24 +134,6 @@ def test_envelope_brackets_oracle(table15, oracle15, unit_interval):
     ratio = oracle15.value(x, y) / green.green_envelope(unit_interval, table15, x, y)
     assert np.isfinite(ratio).all()
     assert ratio.max() / ratio.min() < 50.0
-
-
-def test_punctured_line_values(table15):
-    assert green.green_punctured_line(table15, 0.4, 0.4) == pytest.approx(
-        2 * table15.K_at(0.4), rel=1e-12)
-    # homogeneous kernel: K(1) + K(2) - K(1) = K(2) = 2^(alpha-1) K(1)
-    val = green.green_punctured_line(table15, 1.0, 2.0)
-    assert val == pytest.approx(2.0 ** (ALPHA - 1) * K1, rel=1e-6)
-
-
-def test_punctured_line_nonnegative_across_pole(table15):
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0.05, 3.0, 300)
-    y = -rng.uniform(0.05, 3.0, 300)
-    vals = green.green_punctured_line(table15, x, y)
-    assert np.all(vals >= -1e-12)
-    with pytest.raises(ValueError):
-        green.green_punctured_line(table15, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +304,6 @@ def test_kappa_integrand_envelope(oracle15, table15, unit_interval):
     rhs = table15.M_at(np.minimum(np.asarray(delta(unit_interval, z)), np.abs(y - z)))
     assert np.isfinite(lhs / rhs).all()
     assert (lhs / rhs).max() < 50.0
-
-
-def test_gradient_tail_integrals_decrease(oracle15):
-    vals = green.gradient_tail_integrals(oracle15, sin_drift(1.0, 5.0),
-                                         thresholds=(10, 100, 1000, 10000), n_y=8)
-    assert all(v2 <= v1 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
-    assert vals[-1] < vals[0] or vals[0] == 0.0
 
 
 def test_exit_cdf_monotone(oracle15, unit_interval):

@@ -65,11 +65,6 @@ def test_modulus_monotone_in_drift(table15):
     assert s <= small * (1 + 1e-12)
 
 
-def test_radius_sequence_must_decrease(table15):
-    with pytest.raises(ValueError):
-        kato.is_kato(kato.constant_drift(1.0), table15, r_sequence=[1e-3, 1e-2])
-
-
 def test_drift_from_config():
     b = kato.drift_from_config({"family": "sin", "amplitude": 2.0, "frequency": 3.0})
     assert b(np.pi / 6) == pytest.approx(2.0)

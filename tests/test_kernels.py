@@ -47,11 +47,10 @@ def test_h_truncated_vanishes_at_infinity():
     assert vals[2] / vals[0] == pytest.approx(1e-4, rel=1e-6)
 
 
-def test_V_closed_form_and_zero():
-    m = models.stable_model(ALPHA)
-    assert kernels.compute_V(m, 0.0) == 0.0
+def test_V_closed_form_and_zero(table15):
+    assert table15.V_at(0.0) == 0.0
     for r in (0.2, 1.7):
-        assert kernels.compute_V(m, r) == pytest.approx(A ** -0.5 * r ** (ALPHA / 2), rel=1e-10)
+        assert table15.V_at(r) == pytest.approx(A ** -0.5 * r ** (ALPHA / 2), rel=1e-10)
 
 
 def test_K_at_origin_and_symmetry(table15):
@@ -114,16 +113,6 @@ def test_M_power_law_and_ratio(table15):
     assert table15.M_at(1.0) / table15.M_at(4.0) == pytest.approx(2.0, rel=1e-9)
     r = table15.r
     assert np.all(np.diff(table15.M) < 0)
-
-
-def test_V_inverse_roundtrip(table15):
-    for r in (1e-3, 0.077, 1.0, 42.0):
-        assert table15.V_inverse(table15.V_at(r)) == pytest.approx(r, rel=1e-8)
-
-
-def test_V_inverse_refuses_extrapolation(table15):
-    with pytest.raises(ValueError, match="outside"):
-        table15.V_inverse(table15.V[-1] * 10.0)
 
 
 def test_V_dilation_bracket_from_scaling(table15, stable15):
@@ -240,25 +229,6 @@ def test_exact_subadditivity_check_sees_one_off_grid_K_off_by_1e8(table15, monke
 
     monkeypatch.setattr(kernels, "_kernel_values", mutated)
     assert not kernels.check_K_subadditivity_exact(t, n_cross=64)
-
-
-def test_heat_kernel_envelope_branches(table15):
-    # at the origin the time branch is active
-    v0, lo, hi = kernels.heat_kernel_envelope(table15, 1.0, 0.0)
-    assert v0 == pytest.approx(1.0 / table15.V_inverse(1.0), rel=1e-9)
-    assert lo < v0 < hi
-    # far in space the tail branch is active
-    v1, _, _ = kernels.heat_kernel_envelope(table15, 1.0, 10.0)
-    assert v1 == pytest.approx(1.0 / (table15.V_at(10.0) ** 2 * 10.0), rel=1e-9)
-
-
-def test_heat_kernel_envelope_scaling(table15):
-    # stable self-similarity: f(t, x) = lam f(lam^alpha t, lam x)
-    lam = 2.0
-    t, x = 0.5, 0.3
-    v, _, _ = kernels.heat_kernel_envelope(table15, t, x)
-    vs, _, _ = kernels.heat_kernel_envelope(table15, lam ** ALPHA * t, lam * x)
-    assert v == pytest.approx(lam * vs, rel=1e-8)
 
 
 def test_csv_export(tmp_path, table15):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levygreen import models, stable
+from levygreen import models
 
 
 def test_stable_psi_is_exact_power():
@@ -31,7 +31,7 @@ def test_eval_psi_rejects_negative_frequency():
 def test_nu_homogeneity_stable():
     m = models.stable_model(1.5)
     r = 0.37
-    ratio = models.eval_nu(m, 2 * r) / models.eval_nu(m, r)
+    ratio = m.nu(2 * r) / m.nu(r)
     assert ratio == pytest.approx(2.0 ** (-2.5), rel=1e-14)
 
 
@@ -45,38 +45,35 @@ def test_nu_normalization_by_quadrature():
     assert 2 * (head + flat - osc) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_nu_rejects_nonpositive_radius():
-    with pytest.raises(ValueError):
-        models.eval_nu(models.stable_model(1.5), 0.0)
-
-
 def test_truncated_nu_vanishes_beyond_radius():
     m = models.truncated_stable_model(1.5, 2.0)
-    assert models.eval_nu(m, 3.0) == 0.0
+    assert m.nu(3.0) == 0.0
     s = models.stable_model(1.5)
-    assert models.eval_nu(m, 1.0) == models.eval_nu(s, 1.0)
+    assert m.nu(1.0) == s.nu(1.0)
 
 
 def test_psi_from_nu_matches_closed_form():
-    m = models.stable_model(1.5)
+    # a custom model without a symbol takes it by quadrature of its density
+    q = models.custom_model(models.stable_model(1.5).nu)
     for xi in (1e-3, 1e-1, 1.0, 7.3, 1e2, 1e3):
-        assert models.psi_from_nu(m, xi) == pytest.approx(xi ** 1.5, rel=1e-6)
+        assert q.psi(xi) == pytest.approx(xi ** 1.5, rel=1e-6)
 
 
 @pytest.mark.parametrize("alpha", [1.5, 1.9])
 def test_psi_from_nu_relative_at_low_frequency(alpha):
     # psi = xi^alpha is far below any fixed absolute target here
-    m = models.stable_model(alpha)
+    q = models.custom_model(models.stable_model(alpha).nu)
     for xi in (1e-6, 1e-4):
-        assert abs(models.psi_from_nu(m, xi) / xi ** alpha - 1.0) <= 1e-12
+        assert abs(q.psi(xi) / xi ** alpha - 1.0) <= 1e-12
 
 
 def test_psi_from_nu_finds_a_density_supported_near_zero():
     # at low frequency the truncated density lives below u = 0.0217, the
     # first sample point of a single adaptive pass over the head (0, 10)
     m = models.truncated_stable_model(1.5, 0.3)
+    q = models.custom_model(m.nu)
     for xi in (0.01, 0.05, 0.0724, 1.0, 10.0):
-        assert models.psi_from_nu(m, xi) == pytest.approx(float(m.psi(xi)), rel=1e-8)
+        assert q.psi(xi) == pytest.approx(float(m.psi(xi)), rel=1e-8)
 
 
 def test_scaling_stable_is_exact():
@@ -176,16 +173,13 @@ def test_require_valid_scaling_rejects_sublinear():
 
 
 def test_unimodality():
-    assert models.check_unimodal(models.stable_model(1.5))
-    assert models.check_unimodal(models.stable_mixture_model([1.2, 1.8], [1, 1]))
-    bump = models.custom_model(nu=lambda r: np.asarray(r) * np.exp(-np.asarray(r)))
-    assert not models.check_unimodal(bump)
-
-
-def test_levy_integrability():
-    val = models.check_levy_integrability(models.stable_model(1.5))
-    # closed form: the scale-activity constant at radius one
-    assert val == pytest.approx(stable.h_constant(1.5), rel=1e-9)
+    # every config family has a nonincreasing jump density by construction
+    r = np.geomspace(1e-6, 1e2, 256)
+    for cfg in ({"family": "stable", "alpha": 1.5},
+                {"family": "stable-mixture", "alphas": [0.6, 1.2, 1.8], "weights": [1, 2, 3]},
+                {"family": "truncated-stable", "alpha": 1.5, "truncation_radius": 0.3}):
+        v = models.model_from_config(cfg).nu(r)
+        assert np.all(np.diff(v) <= 0.0)
 
 
 def test_model_from_config_roundtrip():
