@@ -8,9 +8,10 @@ raised before any artifact is written; green, perturb and report refuse every
 model family but ``stable`` with 2, and kernels and kato refuse
 ``truncated-stable`` and any model whose lower scaling exponent above
 frequency one is at most one (``models.require_valid_scaling``), the
-paper's weak lower scaling hypothesis.  Only this module and ``svgplot`` write
-files: the computing modules return arrays and result dataclasses, and the
-CSV and JSON formats are decided here.
+paper's weak lower scaling hypothesis, or whose table quadratures miss
+their target (``kernels.KernelQuadratureError``).  Only this module and
+``svgplot`` write files: the computing modules return arrays and result
+dataclasses, and the CSV and JSON formats are decided here.
 """
 
 from __future__ import annotations
@@ -161,7 +162,10 @@ def _table_for(model, domain, points_per_decade):
         models.require_valid_scaling(model)
     except ValueError as exc:
         raise ConfigError(f"kernel tables: {exc}") from exc
-    return kernels.build_table(model, diam=domain.diam, points_per_decade=points_per_decade)
+    try:
+        return kernels.build_table(model, diam=domain.diam, points_per_decade=points_per_decade)
+    except kernels.KernelQuadratureError as exc:
+        raise ConfigError(f"kernel tables: {exc}") from exc
 
 
 def cmd_kernels(cfg: dict, digest: str, out: Path, args) -> int:
@@ -304,6 +308,9 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
 
     G = _green_for(model, domain, n)
     table = _table_for(model, domain, 32)
+    scaling = models.estimate_scaling(model)
+    lines.append(("lower scaling order > 1", scaling.standing_assumption,
+                  f"alpha_low_1={scaling.alpha_low_1:.4f}"))
     inv = kernels.check_table_invariants(table)
     lines.append(("kernel invariants", inv["all_pass"], ""))
 

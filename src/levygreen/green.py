@@ -18,7 +18,9 @@ layer at each endpoint, for both the mass and the exit law.
 The checkers quantify comparability statements that the theory leaves
 constant-free: the Poisson-kernel envelope, the gradient bound, the
 three-function inequality, and the drift-interaction integral kappa.
-All empirical constants are reported, never asserted.
+All empirical constants are reported, never asserted.  ``scipy.linalg``
+loads with the first multi-interval ``numeric_table_green``, not with the
+module.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import mesh, stable
 from .geometry import C11Set, delta
@@ -111,6 +112,7 @@ def numeric_table_green(alpha: float, domain: C11Set,
     comps = domain.intervals
     if len(comps) == 1:
         return stable_oracle(alpha, domain)
+    from scipy.linalg import lu_factor, lu_solve
     z, w, cid = mesh.graded_components(comps, nodes_per_component, 2.0 / alpha)
     n = len(z)
 

@@ -27,13 +27,15 @@ closes each sequence of panel sums, as QUADPACK's QAGS and QAWF do
 (Piessens et al., *QUADPACK*, 1983; Wynn, *MTAC* 10 (1956) 91-96).  A value
 whose error estimate misses the 1e-10 relative target is recomputed by the
 oracle.
+
+``scipy.integrate`` (in ``_quad``) and ``scipy.interpolate`` (in
+``KernelTable``) load with the first table or oracle call, not with the
+module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .models import LevyModel, _dyadic_head, _map_scalar, _unit_frequency
 
@@ -65,6 +67,7 @@ class KernelQuadratureError(RuntimeError):
 
 
 def _quad(f, a, b):
+    from scipy import integrate
     val, err = integrate.quad(f, a, b, epsabs=0.0, epsrel=_TOL, limit=400)
     if not np.isfinite(val):
         raise KernelQuadratureError(f"non-finite quadrature value on ({a}, {b})")
@@ -293,6 +296,7 @@ class KernelTable:
         self.dK = dK
         self.diam = diam
         self.err = err
+        from scipy.interpolate import PchipInterpolator
         lr = np.log(r)
         self._V = PchipInterpolator(lr, np.log(V))
         self._M = PchipInterpolator(lr, np.log(M))

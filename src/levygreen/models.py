@@ -11,6 +11,10 @@ numerically as extremal chord slopes of log psi over a geometric frequency
 grid, and ``require_valid_scaling`` refuses models that fail the check.
 Every CLI command that builds a kernel table calls it first
 (``cli._table_for``) and reports a refusal as a config error.
+
+``scipy.integrate`` is imported inside the quadrature symbols and
+``_unit_frequency`` that use it, so importing this module (and every
+command that never integrates) does not load it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import stable
 
@@ -130,6 +133,7 @@ def truncated_stable_model(alpha: float, radius: float) -> LevyModel:
 def _psi_truncated_scalar(alpha: float, c: float, radius: float, x: float) -> float:
     if x == 0.0:
         return 0.0
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, _ = integrate.quad(lambda z: 2.0 * np.sin(0.5 * x * z) ** 2 * z ** (-1.0 - alpha),
@@ -224,6 +228,7 @@ def _unit_frequency(quad, g, kind: str):
     tail|, so the target stays relative however small the integral is.
     Returns the value, the summed error estimate and the Fourier tail.
     """
+    from scipy import integrate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         if kind == "cos":
@@ -248,6 +253,7 @@ def _psi_by_quadrature(nu: Callable, x: float) -> float:
     if x == 0.0:
         return 0.0
     x = abs(x)
+    from scipy import integrate
 
     def quad(f, a, b):
         return integrate.quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-11)

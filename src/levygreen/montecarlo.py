@@ -43,6 +43,8 @@ Estimators: mean exit time, occupation-density histograms (the Monte Carlo
 Green function), and the exit law with a Kolmogorov-Smirnov distance against
 a quadrature exit density.  Both engines are chunked with split seeds, so
 runs are reproducible bit for bit for a fixed seed and chunk size.
+Stable paths never load ``scipy.integrate``: only the approximate jump
+sampler of a non-stable model imports it, in ``_jump_sampler``.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from . import stable
 from .geometry import C11Set
@@ -227,6 +228,7 @@ def _jump_sampler(model: LevyModel, eps: float):
     else:
         return (lambda rng, dt, size: sample_stable_increment(alpha, dt, rng, size)), False
     # approximate route: compound-Poisson above the cutoff eps, Gaussian below
+    from scipy import integrate
     var_small, _ = integrate.quad(lambda z: z * z * model.nu(z), 0.0, eps, limit=200)
     var_small *= 2.0
     rate, _ = integrate.quad(lambda t: model.nu(eps / t) * eps / t ** 2, 0.0, 1.0, limit=200)

@@ -16,7 +16,8 @@ plain weights would have produced.
 Two solve modes: a direct dense solve (works whenever I - B is invertible)
 and the fixed-point iteration Gt <- G + Gt B, which converges exactly when
 the discrete interaction bound kappa is below one and doubles as a
-contraction diagnostic.
+contraction diagnostic.  ``scipy.linalg`` loads with the first
+``solve_perturbed``, not with the module.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import mesh, stable
 from .geometry import C11Set
@@ -158,6 +158,7 @@ class PerturbedGreen:
 
     def row(self, x: float) -> np.ndarray:
         """Gt(x, .) at the grid nodes for an arbitrary source point."""
+        from scipy.linalg import lu_solve
         g = np.asarray(self.green.value(float(x), self.grid.nodes), dtype=float)
         return lu_solve(self._lu, g)
 
@@ -176,6 +177,7 @@ def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid,
     requires the discrete interaction bound kappa below one, and records the
     sup-change trace as a contraction diagnostic.
     """
+    from scipy.linalg import lu_factor, lu_solve
     Gmat, dG = discretize_green(G, grid)
     B = _operator(G, b, grid, dG)
     kappa_disc = float(np.max((Gmat @ np.abs(B)) / Gmat))

@@ -2,7 +2,11 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -198,3 +202,40 @@ def test_only_the_unit_frequency_integrator_runs_qawf():
                 if name == "quad" and any(k.arg == "weight" for k in node.keywords):
                     callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == ["models._unit_frequency"]
+
+
+# scipy modules that only the kernel tables, the Green solves and the
+# quadrature oracles need; each is imported inside the function that uses it
+HEAVY = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize"]
+COLD_START = """
+import json, sys
+loaded = lambda: [m for m in sys.argv[1:] if m in sys.modules]
+import levygreen, levygreen.cli
+seen = {"import": loaded()}
+for name in ("mc-walk-on-spheres", "mc-euler", "perturb"):
+    code = levygreen.cli.main([name.split("-")[0], "--config", name + ".json", "--out", name])
+    seen[name] = loaded() if code == 0 else code
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_only_what_the_command_runs(tmp_path):
+    # a fresh interpreter, since the test modules import scipy.integrate themselves
+    base = {"model": {"family": "stable", "alpha": 1.5},
+            "domain": {"intervals": [[-1.0, -0.2], [0.2, 1.0]]}, "source": 0.5,
+            "grid": {"nodes_per_component": 24},
+            "mc": {"paths": 200, "dt": 0.01, "seed": 0, "bin_width": 0.1}}
+    for name, drift in (("mc-walk-on-spheres", {"family": "zero"}),
+                        ("mc-euler", {"family": "constant", "value": 1.0}),
+                        ("perturb", {"family": "constant", "value": 1.0})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(base, drift=drift)))
+    path = [str(Path(levygreen.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, *HEAVY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "mc-walk-on-spheres": [], "mc-euler": [],
+                    "perturb": ["scipy.linalg"]}
+    for name, engine in (("mc-walk-on-spheres", "walk-on-spheres"), ("mc-euler", "euler")):
+        assert json.loads((tmp_path / name / "mc_estimates.json").read_text())["engine"] == engine

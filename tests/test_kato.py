@@ -65,6 +65,21 @@ def test_modulus_monotone_in_drift(table15):
     assert s <= small * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("frequency", [5.0, 1.0])
+def test_sin_drift_matches_libm_sin(frequency):
+    # the tan half-angle form against np.sin: random points, 0, and exact and
+    # jittered multiples of pi in the argument frequency * z
+    rng = np.random.default_rng(3)
+    k = np.arange(-95.0, 96.0)
+    exact = k * np.pi / frequency
+    z = np.concatenate([rng.uniform(-60.0, 60.0, 1_000_000), [0.0, -0.0], exact,
+                        exact * (1.0 + rng.uniform(-4e-16, 4e-16, k.size)),
+                        exact + rng.uniform(-1e-9, 1e-9, k.size)])
+    got = kato.sin_drift(1.0, frequency)(z)
+    assert np.max(np.abs(got - np.sin(frequency * z))) <= 2.3e-16
+    assert got[1_000_000] == 0.0
+
+
 def test_drift_from_config():
     b = kato.drift_from_config({"family": "sin", "amplitude": 2.0, "frequency": 3.0})
     assert b(np.pi / 6) == pytest.approx(2.0)
