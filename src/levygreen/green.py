@@ -108,65 +108,42 @@ def numeric_table_green(alpha: float, domain: C11Set,
     component B, G_D(x, y) = G_B(x, y) + int over the other components of
     P_B(x, z) G_D(z, y) dz.  Discretizing the coupling integral on graded
     panels yields one linear system shared by every evaluation point.
+
+    Each closed form vanishes unless its first argument lies in its own
+    interval (and the exit kernel unless its second lies outside), so every
+    term is the plain sum of the closed forms over the components.  The
+    direct term is evaluated pair by pair; the coupled term gathers from the
+    unique x and y values, as a dense block of them when
+    len(ux) * len(uy) <= pairs * nodes (grids, rows and columns) and pair by
+    pair otherwise (scattered pairs), which keeps memory at O(pairs * nodes).
     """
     comps = domain.intervals
     if len(comps) == 1:
         return stable_oracle(alpha, domain)
     from scipy.linalg import lu_factor, lu_solve
-    z, w, cid = mesh.graded_components(comps, nodes_per_component, 2.0 / alpha)
-    n = len(z)
+    z, w, _ = mesh.graded_components(comps, nodes_per_component, 2.0 / alpha)
 
-    P = np.zeros((n, n))
-    for ci, iv in enumerate(comps):
-        rows = cid == ci
-        cols = cid != ci
-        P[np.ix_(rows, cols)] = stable.poisson_interval(alpha, iv, z[rows][:, None], z[cols][None, :])
-    lu = lu_factor(np.eye(n) - P * w[None, :])
+    def summed(closed_form, x, y):
+        return sum(closed_form(alpha, iv, x, y) for iv in comps)
 
-    def _solve_columns(ys: np.ndarray) -> np.ndarray:
-        # G_D(z_j, y_m) for all grid nodes against the requested targets
-        rhs = np.zeros((n, len(ys)))
-        for ci, iv in enumerate(comps):
-            rows = cid == ci
-            in_comp = (ys > iv[0]) & (ys < iv[1])
-            if np.any(in_comp):
-                rhs[np.ix_(rows, in_comp)] = stable.green_interval(
-                    alpha, iv, z[rows][:, None], ys[in_comp][None, :])
-        return lu_solve(lu, rhs)
+    P = summed(stable.poisson_interval, z[:, None], z[None, :])
+    lu = lu_factor(np.eye(len(z)) - P * w[None, :])
 
     def _evaluate(x, y, differentiate: bool) -> np.ndarray:
         xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        shape = xb.shape
         xf, yf = xb.ravel(), yb.ravel()
         ux, ix = np.unique(xf, return_inverse=True)
         uy, iy = np.unique(yf, return_inverse=True)
-        U = _solve_columns(uy)                      # (n, len(uy))
-
-        direct = np.zeros((len(ux), len(uy)))
-        coupled = np.zeros((len(ux), len(uy)))
-        wU = w[:, None] * U
-        for ci, iv in enumerate(comps):
-            xin = (ux > iv[0]) & (ux < iv[1])
-            if not np.any(xin):
-                continue
-            yin = (uy > iv[0]) & (uy < iv[1])
-            if np.any(yin):
-                UX, UY = np.broadcast_arrays(ux[xin][:, None], uy[yin][None, :])
-                block = np.zeros(UX.shape)
-                if differentiate:
-                    # the unique-value product may contain coincident pairs even
-                    # when no requested pair sits on the diagonal; they are
-                    # never gathered, so leave them at zero
-                    neq = UX != UY
-                    block[neq] = stable.grad_green_interval(alpha, iv, UX[neq], UY[neq])
-                else:
-                    block = stable.green_interval(alpha, iv, UX, UY)
-                direct[np.ix_(xin, yin)] = block
-            cols = cid != ci
-            pfn = stable.grad_poisson_interval if differentiate else stable.poisson_interval
-            prow = pfn(alpha, iv, ux[xin][:, None], z[cols][None, :])
-            coupled[xin, :] = prow @ wU[cols, :]
-        out = (direct + coupled)[ix, iy].reshape(shape)
+        # G_D(z_j, y) at every node against the unique targets, times w_j
+        wU = w[:, None] * lu_solve(lu, summed(stable.green_interval, z[:, None], uy[None, :]))
+        green_fn, exit_fn = ((stable.grad_green_interval, stable.grad_poisson_interval)
+                             if differentiate else (stable.green_interval, stable.poisson_interval))
+        prow = summed(exit_fn, ux[:, None], z[None, :])
+        if len(ux) * len(uy) <= len(xf) * len(z):
+            coupled = (prow @ wU)[ix, iy]
+        else:
+            coupled = np.einsum("ik,ki->i", prow[ix], wU[:, iy])
+        out = (summed(green_fn, xf, yf) + coupled).reshape(xb.shape)
         return out if out.ndim else float(out)
 
     def value(x, y):
@@ -186,28 +163,9 @@ _N_EXTERIOR = 192       # nodes per exterior piece inside the collar
 _LAYER_FRAC = 1e-4      # boundary-layer cutoff as a fraction of r0
 
 
-def _domain_nodes(D: C11Set, splits, n_per_segment: int,
-                  grading: float = 8.0) -> tuple[np.ndarray, np.ndarray]:
-    """Order-6 panels on D split at the given interior points.
-
-    Every segment end gets the power substitution: component endpoints carry
-    algebraic boundary behavior of the kernels, interior split points carry
-    half-integer kinks, and at genuinely smooth ends the extra clustering is
-    merely harmless.
-    """
-    nodes, weights = [], []
-    for a, b in D.intervals:
-        cuts = sorted({a, b, *(float(s) for s in splits if a < s < b)})
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            zn, wn = mesh.power_panels(lo, hi, grading, n_per_segment, 6, "both")
-            nodes.append(zn)
-            weights.append(wn)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _green_row(G: GreenFunction, x: float, n_per_segment: int):
     """Domain nodes y_j and the weighted Green row G(x, y_j) w_j."""
-    y, w = _domain_nodes(G.domain, splits=(x,), n_per_segment=n_per_segment)
+    y, w = mesh.domain_nodes(G.domain.intervals, (x,), n_per_segment)
     return y, np.asarray(G.value(x, y), dtype=float) * w
 
 
@@ -335,8 +293,7 @@ def exit_law_cdf(density: Callable, D: C11Set) -> Callable:
 
 def exit_time_from_green(G: GreenFunction, x: float) -> float:
     """Mean exit time as the integral of the Green function over the domain."""
-    y, w = _domain_nodes(G.domain, splits=(x,), n_per_segment=96)
-    return float(np.asarray(G.value(x, y), dtype=float) @ w)
+    return float(np.sum(_green_row(G, x, 96)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +359,6 @@ def check_poisson_envelope(G: GreenFunction, table: KernelTable, n_samples: int 
             "finite": bool(np.all(np.isfinite(ratios)))}
 
 
-def _graded_axis(D: C11Set, n: int) -> np.ndarray:
-    """Deterministic evaluation grid clustered at every component endpoint (grading 3)."""
-    per = max(4, n // len(D.intervals))
-    t = (np.arange(per) + 0.5) / per
-    return np.concatenate([mesh.graded_breaks(a, b, t, 3.0) for a, b in D.intervals])
-
-
 def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200) -> dict:
     """Supremum of |dG/dx| (|x-y| ^ d_x) / (G ^ K(|x-y|)) over a graded grid.
 
@@ -416,9 +366,8 @@ def check_gradient_bound(G: GreenFunction, table: KernelTable, n: int = 200) -> 
     estimate; the theory provides no value for the constant.
     """
     D = G.domain
-    xs = _graded_axis(D, n)
-    ys = _graded_axis(D, n)
-    X, Y = xs[:, None], ys[None, :]
+    xs = mesh.graded_axis(D.intervals, n)
+    X, Y = xs[:, None], xs[None, :]
     keep = np.abs(X - Y) > 1e-4 * D.diam
     Xb, Yb = np.broadcast_arrays(X, Y)
     g = np.asarray(G.value(X, Y), dtype=float)
@@ -482,7 +431,7 @@ def kappa(G: GreenFunction, b: Callable, x: float, y: float) -> float:
     split there and at x and graded accordingly.
     """
     D = G.domain
-    z, w = _domain_nodes(D, splits=(x, y), n_per_segment=48, grading=4.0)
+    z, w = mesh.domain_nodes(D.intervals, (x, y), 48, grading=4.0)
     gxz = np.asarray(G.value(x, z), dtype=float)
     dgzy = np.asarray(G.grad_x(z, y), dtype=float)
     gxy = float(G.value(x, y))
@@ -498,7 +447,7 @@ def kappa(G: GreenFunction, b: Callable, x: float, y: float) -> float:
 
 def kappa_sup(G: GreenFunction, b: Callable, n_grid: int = 16) -> float:
     """Supremum of kappa over a boundary-clustered evaluation grid."""
-    pts = _graded_axis(G.domain, n_grid)
+    pts = mesh.graded_axis(G.domain.intervals, n_grid)
     best = 0.0
     for xv in pts:
         for yv in pts:

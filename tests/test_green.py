@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -176,6 +178,54 @@ def test_numeric_gradient_finite_differences(numeric15):
 def test_numeric_vanishes_outside(numeric15):
     assert numeric15.value(0.0, 0.5) == 0.0          # gap point
     assert numeric15.value(-1.5, 0.5) == 0.0
+
+
+def test_numeric_gradient_rejects_diagonal(numeric15):
+    with pytest.raises(ValueError):
+        numeric15.grad_x(0.5, 0.5)
+    with pytest.raises(ValueError):
+        numeric15.grad_x(np.array([0.3, -0.6]), np.array([0.4, -0.6]))
+    # a coincident pair outside the domain is an ordinary zero
+    assert numeric15.grad_x(0.0, 0.0) == 0.0
+    # the off-diagonal pairs of a grid share their unique values with the
+    # diagonal, which must not be evaluated
+    t = np.array([-0.6, 0.3, 0.5])
+    X, Y = np.meshgrid(t, t, indexing="ij")
+    off = X != Y
+    each = [numeric15.grad_x(a, b) for a, b in zip(X[off], Y[off])]
+    assert numeric15.grad_x(X[off], Y[off]) == pytest.approx(each, rel=1e-12)
+
+
+@pytest.mark.parametrize("intervals", [((-1.0, -0.2), (0.2, 1.0)),
+                                       ((-1.0, -0.5), (-0.3, 0.2), (0.45, 1.0))])
+def test_numeric_scattered_pairs_match_the_grid(intervals):
+    # 500 pairs take the pairwise path, their 500 x 500 grid the dense one
+    D = interval_union(*intervals)
+    G = green.numeric_table_green(ALPHA, D)
+    rng = np.random.default_rng(8)
+    x = green._boundary_biased_points(D, 500, rng)
+    y = green._boundary_biased_points(D, 500, rng)
+    for fn in (G.value, G.grad_x):
+        full = fn(x[:, None], y[None, :])
+        # the two paths sum the coupled term in different orders, so the
+        # error is measured against the size of each x's row, not against
+        # values that may sit near a sign change of the gradient
+        scale = np.max(np.abs(full), axis=1)
+        assert np.max(np.abs(fn(x, y) - np.diagonal(full)) / scale) <= 1e-14
+
+
+def test_numeric_scattered_pairs_stay_small(numeric15, two_interval):
+    # a dense unique-x by unique-y block would take 2 x 4000^2 doubles (256 MB) each
+    rng = np.random.default_rng(9)
+    x = green._boundary_biased_points(two_interval, 4000, rng)
+    y = green._boundary_biased_points(two_interval, 4000, rng)
+    tracemalloc.start()
+    try:
+        numeric15.value(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 # ---------------------------------------------------------------------------
