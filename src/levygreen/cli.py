@@ -5,9 +5,10 @@ file embeds the config hash and the toolkit version; rerunning a command
 with the same config and seed reproduces the numeric content byte for byte
 (single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error,
 raised before any artifact is written; green, perturb and report refuse every
-model family but ``stable`` with 2, and kernels and kato refuse
-``truncated-stable`` and any model whose lower scaling exponent above
-frequency one is at most one (``models.require_valid_scaling``), the
+model family but ``stable`` with 2, mc every family but ``stable`` and
+``stable-mixture`` (the two whose paths it draws exactly), and kernels and
+kato refuse ``truncated-stable`` and any model whose lower scaling exponent
+above frequency one is at most one (``models.require_valid_scaling``), the
 paper's weak lower scaling hypothesis, or whose table quadratures miss
 their target (``kernels.KernelQuadratureError``).  Only this module and
 ``svgplot`` write files: the computing modules return arrays and result
@@ -260,6 +261,8 @@ def cmd_mc(cfg: dict, digest: str, out: Path, args) -> int:
         bins, val, se, sample = mc_mod.mc_green(model, drift, domain, x0, config)
     except FloatingPointError as exc:
         raise ConfigError(f"drift {drift.label}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"path simulation: {exc}") from exc
     tau = mc_mod.mean_exit_estimate(sample)
     head = dict(seed=seed, dt=config.dt, paths=config.n_paths,
                 model=json.dumps(model.describe()), domain=json.dumps(domain.intervals),

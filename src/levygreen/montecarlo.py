@@ -13,17 +13,18 @@ option to choose:
   ``tau`` is not the spread of exit times.  ``dt`` is unused on this
   route, and nothing is censored.
 * **Euler stepping** for every other input: a drift substep, then an exact
-  stable increment over the step (the Chambers-Mallows-Stuck transform of
-  a uniform and an exponential variate).  With zero drift the discrete
-  chain is the true process observed on a time grid; otherwise the only
-  Euler error is first-order splitting of the drift substep and post-step
-  exit detection.  Exit happens by a macroscopic jump, which makes
-  post-step detection reliable; the residual time-discretization bias is
-  quantified by step-halving rather than modeled.  Non-stable unimodal
-  models are simulated approximately: compound-Poisson jumps above a
-  cutoff plus Gaussian compensation of the small jumps.  Each step looks
-  up the component of each path once, at the step's end; the boundary
-  distance of the next step and both ends' occupation bins come from it.
+  increment of the noise over the step (the Chambers-Mallows-Stuck transform
+  of a uniform and an exponential variate; a ``stable-mixture`` with symbol
+  sum_i w_i |xi|^alpha_i adds one independent draw over w_i dt per
+  component; ``truncated-stable`` and ``custom`` have no exact increment and
+  are refused).  With zero drift the discrete chain is the true process
+  observed on a time grid; otherwise the only Euler error is first-order
+  splitting of the drift substep and post-step exit detection.  Exit happens
+  by a macroscopic jump, which makes post-step detection reliable; the
+  residual time-discretization bias is quantified by step-halving rather
+  than modeled.  Each step looks up the component of each path once, at the
+  step's end; the boundary distance of the next step and both ends'
+  occupation bins come from it.
 
 The stable increment over dt is dt^(1/alpha) times the Chambers-Mallows-Stuck
 variate (Chambers, Mallows and Stuck, JASA 71 (1976) 340-344) of u uniform on
@@ -43,8 +44,7 @@ Estimators: mean exit time, occupation-density histograms (the Monte Carlo
 Green function), and the exit law with a Kolmogorov-Smirnov distance against
 a quadrature exit density.  Both engines are chunked with split seeds, so
 runs are reproducible bit for bit for a fixed seed and chunk size.
-Stable paths never load ``scipy.integrate``: only the approximate jump
-sampler of a non-stable model imports it, in ``_jump_sampler``.
+This module imports no scipy module.
 """
 
 from __future__ import annotations
@@ -84,22 +84,22 @@ class PathConfig:
     """Simulation controls; bins always tile the domain exactly.
 
     Steps shrink near the boundary: the step at boundary distance d is
-    dt * min(1, (d / (r0 / 4))^alpha), with d floored at 1e-6 r0.  This
+    dt * min(1, (d / (r0 / 4))^alpha), with d floored at 1e-6 r0 and alpha
+    the model's largest stability index, which governs small scales.  This
     keeps the within-step displacement a fixed fraction of the boundary
     distance, which is what makes exit positions and exit times accurate:
     the exit law has a fat boundary layer that fixed steps smear at an
     unacceptable rate.  Near-boundary occupancy is thin, so the extra cost
-    is a small constant factor.  The step controls (dt, time_cap) and the
-    small-jump cutoff of non-stable models act on the Euler engine only.
+    is a small constant factor.  The step controls (dt, time_cap) act on
+    the Euler engine only.
     """
 
     dt: float
     n_paths: int
     seed: int = 0
     bin_width: float = 0.05
-    time_cap: float | None = None        # None: 200 x the crude exit-time scale
+    time_cap: float | None = None        # None: 200 x min_i (diam / 2)^alpha_i / w_i
     chunk: int = 20_000
-    small_jump_cutoff: float = 1e-2      # non-stable models only
 
     def __post_init__(self):
         for name in ("dt", "bin_width"):
@@ -182,10 +182,12 @@ def sample_stable_increment(alpha: float, dt, rng: np.random.Generator,
                             size: int) -> np.ndarray:
     """Exact symmetric stable increment over dt (Chambers-Mallows-Stuck).
 
-    dt may be a scalar or a per-path vector of step sizes.
+    alpha lies in (0, 2), the range of the mixture indices; at alpha = 1 the
+    draw is the Cauchy tan u.  dt may be a scalar or a per-path vector of
+    step sizes.
     """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"stability index must lie in (1, 2), got {alpha}")
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"stability index must lie in (0, 2), got {alpha}")
     u = rng.uniform(-0.5 * np.pi, 0.5 * np.pi, size)
     w = rng.standard_exponential(size)
     return np.asarray(dt) ** (1.0 / alpha) * _cms(alpha, u, w)
@@ -219,40 +221,33 @@ def _cms(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return t
 
 
-def _jump_sampler(model: LevyModel, eps: float):
-    """Per-step displacement sampler of the driftless noise, dt vectorized."""
-    try:
-        alpha = stable_index(model)
-    except ValueError:
-        pass    # no exact increments: approximate route below
-    else:
-        return (lambda rng, dt, size: sample_stable_increment(alpha, dt, rng, size)), False
-    # approximate route: compound-Poisson above the cutoff eps, Gaussian below
-    from scipy import integrate
-    var_small, _ = integrate.quad(lambda z: z * z * model.nu(z), 0.0, eps, limit=200)
-    var_small *= 2.0
-    rate, _ = integrate.quad(lambda t: model.nu(eps / t) * eps / t ** 2, 0.0, 1.0, limit=200)
-    rate *= 2.0
-    # tail inverse-CDF table for one-sided jump sizes
-    grid = np.geomspace(eps, eps * 1e6, 2048)
-    dens = model.nu(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
-    cdf /= cdf[-1]
+def _components(model: LevyModel) -> tuple:
+    """(alpha_i, w_i) of the symbol sum_i w_i |xi|^alpha_i of a stable or mixture model."""
+    if model.family == "stable":
+        return ((model.alpha, 1.0),)
+    if model.family == "stable-mixture":
+        p = dict(model.params)
+        return tuple(zip(p["alphas"], p["weights"]))
+    raise ValueError(f"exact path increments exist only for the stable and "
+                     f"stable-mixture families, not for {model.family!r}")
+
+
+def _jump_sampler(model: LevyModel):
+    """Exact increment sampler of the driftless noise, dt vectorized, and the largest index.
+
+    One stable draw over w_i dt per component; the first skips a unit
+    weight, so a stable draw is ``sample_stable_increment`` bit for bit.
+    """
+    pairs = _components(model)
+    (a0, w0), *rest = pairs
 
     def draw(rng: np.random.Generator, dt, size: int) -> np.ndarray:
-        dt = np.broadcast_to(np.asarray(dt, dtype=float), (size,))
-        out = rng.normal(0.0, 1.0, size) * np.sqrt(var_small * dt)
-        k = rng.poisson(rate * dt)
-        total = int(k.sum())
-        if total:
-            mags = np.interp(rng.random(total), cdf, grid)
-            signs = rng.choice((-1.0, 1.0), total)
-            out += np.add.reduceat(
-                np.concatenate([mags * signs, [0.0]]),
-                np.concatenate([[0], np.cumsum(k)]))[:-1] * (k > 0)
+        out = sample_stable_increment(a0, dt if w0 == 1.0 else w0 * dt, rng, size)
+        for a, w in rest:
+            out += sample_stable_increment(a, w * dt, rng, size)
         return out
 
-    return draw, True
+    return draw, max(a for a, _ in pairs)
 
 
 @dataclass(frozen=True)
@@ -264,7 +259,6 @@ class ExitSample:
     bins: BinGrid
     n_paths: int
     censored: int
-    approximate_noise: bool
     engine: str                     # "euler" or "walk-on-spheres"
 
 
@@ -273,8 +267,9 @@ def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     """Simulate exit paths from x0, by walk on spheres where it is exact.
 
     The driftless stable process without a time cap takes the walk on
-    spheres; every other input (a drift, a non-stable model, a time cap)
-    takes the boundary-adaptive Euler loop.
+    spheres; every other input (a drift, a stable mixture, a time cap)
+    takes the boundary-adaptive Euler loop.  Any family but ``stable`` and
+    ``stable-mixture`` raises ``ValueError``.
     """
     if not D.contains(x0):
         raise ValueError("starting point must lie inside the domain")
@@ -330,11 +325,11 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     and time carry only a relative-in-scale discretization error.
     """
     bins = make_bins(D, config.bin_width)
-    draw, approx = _jump_sampler(model, config.small_jump_cutoff)
-    alpha_eff = model.alpha if model.alpha is not None else 1.5
+    draw, alpha = _jump_sampler(model)
     cap_time = config.time_cap
     if cap_time is None:
-        cap_time = 200.0 * (D.diam / 2.0) ** alpha_eff
+        # the slowest component's exit-time scale; at least 200 / psi(2 / diam)
+        cap_time = 200.0 * min((D.diam / 2.0) ** a / w for a, w in _components(model))
     d_ref = _REF_FRAC * D.r0
     d_floor = _FLOOR_FRAC * D.r0
 
@@ -354,7 +349,7 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
         while len(alive):
             dist = np.minimum(x - left[comp], right[comp] - x)
             dtv = config.dt * np.minimum(
-                np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha_eff
+                np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha
             if occ_chunk is not None:
                 # trapezoidal attribution in time: half the step at its start,
                 # half at its end if the path is still inside
@@ -390,8 +385,7 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
 
     tau, exit_pos, occ, occ_sq, censored = _run_chunks(
         config, bins.n_bins, track_occupation, walk_chunk)
-    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, censored,
-                      approx, "euler")
+    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, censored, "euler")
 
 
 _MAX_SWEEPS = 10_000     # a walk still inside after this many balls is an error
@@ -453,8 +447,7 @@ def _walk_on_spheres(alpha: float, D: C11Set, x0: float, config: PathConfig,
 
     tau, exit_pos, occ, occ_sq, _ = _run_chunks(
         config, bins.n_bins, track_occupation, walk_chunk)
-    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, 0,
-                      False, "walk-on-spheres")
+    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, 0, "walk-on-spheres")
 
 
 def _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass) -> None:

@@ -135,8 +135,8 @@ REMOVED_MEMBERS = {("geometry", "C11Set"): ["component_index"],
                    ("perturbation", "ComparabilityReport"): ["to_dict"],
                    ("kato", "KatoCertificate"): ["to_dict"],
                    ("montecarlo", "McEstimate"): ["to_dict"]}
-REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac"],
-                  ("montecarlo", "ExitSample"): ["config"],
+REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac", "small_jump_cutoff"],
+                  ("montecarlo", "ExitSample"): ["config", "approximate_noise"],
                   ("montecarlo", "McEstimate"): ["kind"],
                   ("perturbation", "NystromGrid"): ["grading"],
                   ("perturbation", "PerturbedGreen"): ["operator"],
@@ -212,7 +212,7 @@ import json, sys
 loaded = lambda: [m for m in sys.argv[1:] if m in sys.modules]
 import levygreen, levygreen.cli
 seen = {"import": loaded()}
-for name in ("mc-walk-on-spheres", "mc-euler", "perturb"):
+for name in ("mc-walk-on-spheres", "mc-euler", "mc-mixture", "perturb"):
     code = levygreen.cli.main([name.split("-")[0], "--config", name + ".json", "--out", name])
     seen[name] = loaded() if code == 0 else code
 print(json.dumps(seen))
@@ -225,17 +225,21 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
             "domain": {"intervals": [[-1.0, -0.2], [0.2, 1.0]]}, "source": 0.5,
             "grid": {"nodes_per_component": 24},
             "mc": {"paths": 200, "dt": 0.01, "seed": 0, "bin_width": 0.1}}
-    for name, drift in (("mc-walk-on-spheres", {"family": "zero"}),
-                        ("mc-euler", {"family": "constant", "value": 1.0}),
-                        ("perturb", {"family": "constant", "value": 1.0})):
-        (tmp_path / f"{name}.json").write_text(json.dumps(dict(base, drift=drift)))
+    mixture = {"family": "stable-mixture", "alphas": [1.2, 1.8], "weights": [1.0, 0.5]}
+    drift = {"family": "constant", "value": 1.0}
+    for name, patch in (("mc-walk-on-spheres", {"drift": {"family": "zero"}}),
+                        ("mc-euler", {"drift": drift}),
+                        ("mc-mixture", {"drift": drift, "model": mixture}),
+                        ("perturb", {"drift": drift})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(dict(base, **patch)))
     path = [str(Path(levygreen.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", COLD_START, *HEAVY], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"import": [], "mc-walk-on-spheres": [], "mc-euler": [],
+    assert seen == {"import": [], "mc-walk-on-spheres": [], "mc-euler": [], "mc-mixture": [],
                     "perturb": ["scipy.linalg"]}
-    for name, engine in (("mc-walk-on-spheres", "walk-on-spheres"), ("mc-euler", "euler")):
+    for name, engine in (("mc-walk-on-spheres", "walk-on-spheres"), ("mc-euler", "euler"),
+                         ("mc-mixture", "euler")):
         assert json.loads((tmp_path / name / "mc_estimates.json").read_text())["engine"] == engine

@@ -199,6 +199,7 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("green --seed -1", {}),
     ("kernels", {"model": TRUNCATED}),
     ("kato", {"model": TRUNCATED}),
+    ("mc", {"model": TRUNCATED}),
     ("kato", {"drift": {"family": "bounded-smooth"}}),
     ("mc", {"drift": {"family": "power-singularity", "beta": 0.3, "center": 0.5}}),
     ("mc", {"domain": {"intervals": [[-2, 2]]}, "source": True}),
@@ -214,10 +215,10 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
         "kernels-points-per-decade-zero", "perturb-nodes-zero", "report-nodes-negative",
         "green-checker-grid-zero", "green-triples-zero", "mc-paths-fraction",
         "mc-seed-negative", "mc-seed-flag-negative", "green-seed-flag-negative",
-        "kernels-truncated-stable", "kato-truncated-stable", "kato-drift-bounded-smooth",
-        "mc-drift-power-singularity", "mc-source-boolean", "mc-dt-boolean",
-        "mc-bin-width-boolean", "kernels-sublinear-mixture", "kato-sublinear-mixture",
-        "kernels-near-one-mixture", "kato-near-one-mixture"])
+        "kernels-truncated-stable", "kato-truncated-stable", "mc-truncated-stable",
+        "kato-drift-bounded-smooth", "mc-drift-power-singularity", "mc-source-boolean",
+        "mc-dt-boolean", "mc-bin-width-boolean", "kernels-sublinear-mixture",
+        "kato-sublinear-mixture", "kernels-near-one-mixture", "kato-near-one-mixture"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(SMALL_CFG, **patch)))
