@@ -10,7 +10,9 @@ model family but ``stable`` with 2, mc every family but ``stable`` and
 kato refuse ``truncated-stable`` and any model whose lower scaling exponent
 above frequency one is at most one (``models.require_valid_scaling``), the
 paper's weak lower scaling hypothesis, or whose table quadratures miss
-their target (``kernels.KernelQuadratureError``).  Only this module and
+their target (``kernels.KernelQuadratureError``).  A config number that is
+not finite (``NaN``, ``Infinity``, or a literal such as ``1e400`` that
+overflows) is a config error too.  Only this module and
 ``svgplot`` write files: the computing modules return arrays and result
 dataclasses, and the CSV and JSON formats are decided here.
 """
@@ -37,11 +39,18 @@ class ConfigError(Exception):
     pass
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"number {text} is not finite")
+    return value
+
+
 def _load_config(path: str) -> tuple[dict, str]:
     try:
         text = Path(path).read_text()
-        cfg = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        cfg = json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]

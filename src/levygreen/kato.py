@@ -145,7 +145,7 @@ def _window_integral(b: DriftField, table: KernelTable, x: float, r: float) -> f
             continue
 
         def f(z):
-            return float(table.M_at(abs(z - x), extend=True)
+            return float(table.M_at(abs(z - x))
                          * np.abs(b.func(np.asarray(z, dtype=float))))
 
         lo_sing = lo == x or lo in b.singular_points
@@ -176,7 +176,7 @@ def kato_modulus(b: DriftField, table: KernelTable, r: float) -> float:
 
     # shared sweep: int_0^r M(s) (|b(x+s)| + |b(x-s)|) ds on one grid
     s, w = mesh.power_panels(0.0, r, 8.0, 96, order=8, singular_end="left")
-    Mw = table.M_at(s, extend=True) * w
+    Mw = table.M_at(s) * w
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = (np.nan_to_num(np.abs(b.func(xs[:, None] + s[None, :])), posinf=0.0)
                 + np.nan_to_num(np.abs(b.func(xs[:, None] - s[None, :])), posinf=0.0)) @ Mw

@@ -278,8 +278,8 @@ class KernelTable:
     """Write-once grid of the kernel hierarchy with log-log interpolation.
 
     Built by :func:`build_table`; immutable afterwards and safe to share.
-    ``M_at`` can extend below the grid by the fitted low-end power law,
-    which the Kato-class machinery needs for shrinking windows.
+    ``M_at`` extends below the grid by the fitted low-end power law, which
+    the Kato-class machinery needs for shrinking windows.
     ``err`` (shape (3, n)) is the estimated relative error of the batched h,
     K and dK at each point; where it is above 1e-10 or not finite, the
     table holds the QUADPACK oracle's value instead.
@@ -326,10 +326,10 @@ class KernelTable:
             return out if out.ndim else float(out)
         return self._eval(self._V, r, "V")
 
-    def M_at(self, r, extend: bool = False):
+    def M_at(self, r):
         arr = np.asarray(r, dtype=float)
         below = (arr > 0) & (arr < self.r[0])
-        if extend and np.any(below):
+        if np.any(below):
             inner = self._eval(self._M, np.where(below, self.r[0], arr), "M")
             out = np.where(below, self.M[0] * (np.maximum(arr, 1e-300) / self.r[0]) ** self._M_slope,
                            inner)
@@ -345,14 +345,14 @@ class KernelTable:
         return out if out.ndim else float(out)
 
 
-def build_table(model: LevyModel, diam: float = 1.0, points_per_decade: int = 128,
-                span: tuple[float, float] = (1e-6, 1e2)) -> KernelTable:
-    """Tabulate the kernel hierarchy on a geometric grid scaled to the domain size.
+def build_table(model: LevyModel, diam: float = 1.0,
+                points_per_decade: int = 128) -> KernelTable:
+    """Tabulate the kernel hierarchy on a geometric grid of radii 1e-6 diam to 1e2 diam.
 
     h, K and dK come from the batched panel sums; a value whose estimated
     relative error misses 1e-10 is recomputed by the QUADPACK oracle.
     """
-    r_lo, r_hi = span[0] * diam, span[1] * diam
+    r_lo, r_hi = 1e-6 * diam, 1e2 * diam
     n = max(8, int(round(points_per_decade * np.log10(r_hi / r_lo))))
     r = np.geomspace(r_lo, r_hi, n)
     vals, err = _kernel_values(model, r)

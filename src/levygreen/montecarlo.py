@@ -3,11 +3,11 @@
 ``simulate_exit`` has two engines and picks one by a fixed rule, with no
 option to choose:
 
-* **Walk on spheres** when the drift is identically zero, the model is
-  stable (``models.stable_index`` succeeds) and ``time_cap`` is None.  Each
-  path jumps from ball to ball by the exact centred exit law of the stable
-  process until it lands outside the domain, so exit positions are exact,
-  and each ball adds its closed-form expected exit time and bin occupation.
+* **Walk on spheres** when the drift is identically zero and the model is
+  stable (``models.stable_index`` succeeds).  Each path jumps from ball to
+  ball by the exact centred exit law of the stable process until it lands
+  outside the domain, so exit positions are exact, and each ball adds its
+  closed-form expected exit time and bin occupation.
   The recorded ``tau`` of a path is therefore its conditional mean exit
   time given the walk: the mean over paths is unbiased, but the spread of
   ``tau`` is not the spread of exit times.  ``dt`` is unused on this
@@ -42,8 +42,8 @@ for w down to 1e-300 too.
 
 Estimators: mean exit time, occupation-density histograms (the Monte Carlo
 Green function), and the exit law with a Kolmogorov-Smirnov distance against
-a quadrature exit density.  Both engines are chunked with split seeds, so
-runs are reproducible bit for bit for a fixed seed and chunk size.
+a quadrature exit density.  Both engines run chunks of ``_CHUNK`` paths with
+split seeds, so runs are reproducible bit for bit for a fixed seed.
 This module imports no scipy module.
 """
 
@@ -77,11 +77,13 @@ __all__ = [
 
 _REF_FRAC = 0.25        # boundary distance of full-size Euler steps, in units of r0
 _FLOOR_FRAC = 1e-6      # smallest boundary distance the Euler steps resolve, in r0
+_CAP_FACTOR = 200.0     # Euler paths stop at 200 x min_i (diam / 2)^alpha_i / w_i
+_CHUNK = 20_000         # paths per chunk, each with its own split seed
 
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Simulation controls; bins always tile the domain exactly.
+    """Simulation controls, the keys of a config's ``mc`` section; bins tile the domain.
 
     Steps shrink near the boundary: the step at boundary distance d is
     dt * min(1, (d / (r0 / 4))^alpha), with d floored at 1e-6 r0 and alpha
@@ -90,16 +92,16 @@ class PathConfig:
     distance, which is what makes exit positions and exit times accurate:
     the exit law has a fat boundary layer that fixed steps smear at an
     unacceptable rate.  Near-boundary occupancy is thin, so the extra cost
-    is a small constant factor.  The step controls (dt, time_cap) act on
-    the Euler engine only.
+    is a small constant factor.  dt acts on the Euler engine only.  As a
+    safety net, an Euler path still inside after 200 min_i (diam / 2)^alpha_i
+    / w_i, 200 times the slowest component's exit-time scale, is stopped and
+    counted as censored.
     """
 
     dt: float
     n_paths: int
     seed: int = 0
     bin_width: float = 0.05
-    time_cap: float | None = None        # None: 200 x min_i (diam / 2)^alpha_i / w_i
-    chunk: int = 20_000
 
     def __post_init__(self):
         for name in ("dt", "bin_width"):
@@ -266,14 +268,14 @@ def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
                   config: PathConfig, track_occupation: bool = True) -> ExitSample:
     """Simulate exit paths from x0, by walk on spheres where it is exact.
 
-    The driftless stable process without a time cap takes the walk on
-    spheres; every other input (a drift, a stable mixture, a time cap)
-    takes the boundary-adaptive Euler loop.  Any family but ``stable`` and
+    The driftless stable process takes the walk on spheres; every other
+    input (a drift, a stable mixture) takes the boundary-adaptive Euler
+    loop.  No setting chooses the engine.  Any family but ``stable`` and
     ``stable-mixture`` raises ``ValueError``.
     """
     if not D.contains(x0):
         raise ValueError("starting point must lie inside the domain")
-    if config.time_cap is None and _is_zero_drift(b):
+    if _is_zero_drift(b):
         try:
             alpha = stable_index(model)
         except ValueError:
@@ -301,7 +303,7 @@ def _run_chunks(config: PathConfig, n_bins: int, track_occupation: bool, walk_ch
     occ = np.zeros(n_bins)
     occ_sq = np.zeros(n_bins)
     censored = 0
-    chunks = np.array_split(np.arange(n_total), max(1, n_total // config.chunk))
+    chunks = np.array_split(np.arange(n_total), max(1, n_total // _CHUNK))
     seeds = np.random.SeedSequence(config.seed).spawn(len(chunks))
     for chunk_idx, seed in zip(chunks, seeds):
         m = len(chunk_idx)
@@ -326,10 +328,8 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     """
     bins = make_bins(D, config.bin_width)
     draw, alpha = _jump_sampler(model)
-    cap_time = config.time_cap
-    if cap_time is None:
-        # the slowest component's exit-time scale; at least 200 / psi(2 / diam)
-        cap_time = 200.0 * min((D.diam / 2.0) ** a / w for a, w in _components(model))
+    # the slowest component's exit-time scale; at least _CAP_FACTOR / psi(2 / diam)
+    cap_time = _CAP_FACTOR * min((D.diam / 2.0) ** a / w for a, w in _components(model))
     d_ref = _REF_FRAC * D.r0
     d_floor = _FLOOR_FRAC * D.r0
 

@@ -58,21 +58,19 @@ def line_plot(path, xs, series: dict, title: str = "") -> None:
         fh.write("\n".join(parts))
 
 
-def heatmap(path, matrix, title: str = "", v_lo: float | None = None,
-            v_hi: float | None = None) -> None:
+def heatmap(path, matrix, title: str = "") -> None:
     """Color-cell heatmap of a matrix (blue low, white mid, red high).
 
-    A cell whose colour is undefined (NaN, or an infinite cell when the range
-    comes from the matrix) raises ``ValueError`` before the file opens.
+    The colour range is the matrix's own [min, max].  A cell whose colour is
+    undefined (NaN or infinite) raises ``ValueError`` before the file opens.
     """
     M = np.asarray(matrix, dtype=float)
-    v_lo = float(np.min(M)) if v_lo is None else v_lo
-    v_hi = float(np.max(M)) if v_hi is None else v_hi
+    v_lo, v_hi = float(np.min(M)), float(np.max(M))
     n, m = M.shape
     cw = (_W - 2 * _PAD) / m
     ch = (_H - 2 * _PAD) / n
     span = max(v_hi - v_lo, 1e-300)
-    t = np.minimum(np.maximum((M - v_lo) / span, 0.0), 1.0)
+    t = (M - v_lo) / span           # in [0, 1]: rounding is monotone
     if np.isnan(t).any():
         raise ValueError("heatmap: a cell has no colour (NaN after scaling)")
     # colour code k < 256: rgb(k,k,255) from int(510 t); k >= 256: rgb(255,j,j)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import json
@@ -113,10 +114,13 @@ def test_names_used_across_modules_are_exported():
 # options that no caller set (now module constants) and members that no caller read
 REMOVED_KEYWORDS = {
     "kernels": {"compute_h": ["tol"], "compute_K": ["tol"], "compute_dK": ["tol"],
-                "build_table": ["tol"], "KernelTable": ["tol"],
+                "build_table": ["tol", "span"], "KernelTable": ["tol"],
+                "KernelTable.M_at": ["extend"],
                 "check_table_invariants": ["interp_slack", "n_pairs", "seed", "rel_slack"],
                 "check_K_subadditivity_exact": ["seed", "rel_slack"]},
-    "models": {"custom_model": ["name"]},
+    "models": {"custom_model": ["name"],
+               "estimate_scaling": ["theta_min", "theta_max", "n_grid"],
+               "require_valid_scaling": ["kwargs"]},
     "kato": {"kato_modulus": ["x_grid", "span", "n_translates"],
              "is_kato": ["n_translates", "tol", "r_sequence"],
              "custom_drift": ["singular_points"]},
@@ -125,7 +129,7 @@ REMOVED_KEYWORDS = {
     "green": {"numeric_table_green": ["order"]},
     "mesh": {"graded_components": ["order"]},
     "montecarlo": {"mc_exit_law": ["hist_range", "hist_bins"]},
-    "svgplot": {"line_plot": ["logx", "logy"]},
+    "svgplot": {"line_plot": ["logx", "logy"], "heatmap": ["v_lo", "v_hi"]},
 }
 REMOVED_MEMBERS = {("geometry", "C11Set"): ["component_index"],
                    ("models", "LevyModel"): ["key"],
@@ -135,7 +139,8 @@ REMOVED_MEMBERS = {("geometry", "C11Set"): ["component_index"],
                    ("perturbation", "ComparabilityReport"): ["to_dict"],
                    ("kato", "KatoCertificate"): ["to_dict"],
                    ("montecarlo", "McEstimate"): ["to_dict"]}
-REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac", "small_jump_cutoff"],
+REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac", "small_jump_cutoff",
+                                                 "time_cap", "chunk"],
                   ("montecarlo", "ExitSample"): ["config", "approximate_noise"],
                   ("montecarlo", "McEstimate"): ["kind"],
                   ("perturbation", "NystromGrid"): ["grading"],
@@ -154,7 +159,7 @@ def test_removed_options_stay_gone():
     for module, fns in REMOVED_KEYWORDS.items():
         mod = importlib.import_module(f"levygreen.{module}")
         for name, keywords in fns.items():
-            params = inspect.signature(getattr(mod, name)).parameters
+            params = inspect.signature(functools.reduce(getattr, name.split("."), mod)).parameters
             back += [f"{module}.{name}({kw}=)" for kw in keywords if kw in params]
     for (module, name), members in REMOVED_MEMBERS.items():
         cls = getattr(importlib.import_module(f"levygreen.{module}"), name)
@@ -167,6 +172,14 @@ def test_removed_options_stay_gone():
         mod = importlib.import_module(f"levygreen.{module}")
         back += [f"{module}.{name}" for name in names if hasattr(mod, name)]
     assert not back
+
+
+def test_path_config_is_the_mc_section():
+    # cmd_mc reads these keys; no setting chooses the engine, its time cap or chunking
+    from levygreen.montecarlo import PathConfig
+
+    assert [f.name for f in dataclasses.fields(PathConfig)] == ["dt", "n_paths", "seed",
+                                                               "bin_width"]
 
 
 # the modules that decide how artifacts look; every other module returns values

@@ -209,6 +209,11 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("kato", {"model": SUBLINEAR}),
     ("kernels", {"model": NEAR_ONE}),
     ("kato", {"model": NEAR_ONE}),
+    ("kato", {"drift": {"family": "constant", "value": float("nan")}}),
+    ("mc", {"model": {"family": "stable-mixture", "alphas": [1.2, 1.8],
+                      "weights": [1.0, float("inf")]}}),
+    ("perturb", {"domain": {"intervals": [[-0.02, float("nan")]]}}),
+    ("perturb", {"drift": {"family": "constant", "value": float("nan")}}),
 ], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
         "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
         "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
@@ -218,11 +223,23 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
         "kernels-truncated-stable", "kato-truncated-stable", "mc-truncated-stable",
         "kato-drift-bounded-smooth", "mc-drift-power-singularity", "mc-source-boolean",
         "mc-dt-boolean", "mc-bin-width-boolean", "kernels-sublinear-mixture",
-        "kato-sublinear-mixture", "kernels-near-one-mixture", "kato-near-one-mixture"])
+        "kato-sublinear-mixture", "kernels-near-one-mixture", "kato-near-one-mixture",
+        "kato-drift-nan", "mc-mixture-weight-infinite", "perturb-endpoint-nan",
+        "perturb-drift-nan"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(SMALL_CFG, **patch)))
     out = tmp_path / "out"
     assert main([*command.split(), "--config", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_overflowing_config_number_is_a_config_error(tmp_path, capsys):
+    # json reads 1e400 as inf
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(SMALL_CFG).replace('"value": 1.0', '"value": 1e400'))
+    out = tmp_path / "out"
+    assert main(["kato", "--config", str(p), "--out", str(out)]) == 2
+    assert "1e400 is not finite" in capsys.readouterr().err
+    assert not out.exists()

@@ -117,7 +117,7 @@ def test_M_power_law_and_ratio(table15):
 
 def test_V_dilation_bracket_from_scaling(table15, stable15):
     # the exponents hold on the grid with constant one
-    rep = models.estimate_scaling(stable15, 1e-2, 1e2)
+    rep = models.estimate_scaling(stable15)
     lam = 2.0
     lo = np.sqrt(1.0 / (2 * kernels.C_PSI_BRACKET)) * lam ** (rep.alpha_low / 2)
     hi = np.sqrt(2 * kernels.C_PSI_BRACKET) * lam ** (rep.alpha_high / 2)
@@ -205,8 +205,7 @@ def test_K_comparable_to_V_squared_over_r(table15):
 
 
 def test_exact_subadditivity_check(table15):
-    small = kernels.build_table(table15.model, diam=1.0, points_per_decade=8,
-                                span=(1e-3, 1e1))
+    small = kernels.build_table(table15.model, diam=1.0, points_per_decade=8)
     assert kernels.check_K_subadditivity_exact(small, n_cross=64)
 
 
@@ -214,7 +213,7 @@ def test_exact_subadditivity_check(table15):
 def test_exact_subadditivity_check_sees_one_off_grid_K_off_by_1e8(table15, monkeypatch, k):
     # K(2 r_0) is spot-checked against the oracle; K(2 r_1) lies between the
     # spot checks, so the table is made tight there, K(r_1) = K(2 r_1) / 2
-    t = kernels.build_table(table15.model, diam=1.0, points_per_decade=8, span=(1e-3, 1e1))
+    t = kernels.build_table(table15.model, diam=1.0, points_per_decade=8)
     K = t.K.copy()
     if k == 1:
         K[1] = kernels._kernel_values(t.model, 2.0 * t.r[1:2])[0][1, 0] / 2.0

@@ -77,7 +77,7 @@ def test_psi_from_nu_finds_a_density_supported_near_zero():
 
 
 def test_scaling_stable_is_exact():
-    rep = models.estimate_scaling(models.stable_model(1.5), 1e-3, 1e3)
+    rep = models.estimate_scaling(models.stable_model(1.5))
     assert rep.ok
     assert rep.alpha_low == pytest.approx(1.5, abs=1e-6)
     assert rep.alpha_high == pytest.approx(1.5, abs=1e-6)
@@ -86,38 +86,29 @@ def test_scaling_stable_is_exact():
 
 
 def test_scaling_mixture_brackets():
-    # chord-slope extremes over the default grid; the infimum above frequency
-    # one sits at the local slope there, (1.2 + 1.8) / 2
-    rep = models.estimate_scaling(
-        models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]), 1e-3, 1e3)
+    # chord-slope extremes over the grid; the infimum above frequency one
+    # sits at the local slope there, (1.2 + 1.8) / 2
+    rep = models.estimate_scaling(models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]))
     assert rep.alpha_low == pytest.approx(1.2, abs=0.02)
     assert rep.alpha_high == pytest.approx(1.8, abs=0.02)
     assert rep.alpha_low_1 == pytest.approx(1.5, abs=0.02)
     assert rep.standing_assumption
 
 
-def test_scaling_degenerate_grid_keeps_exponents():
-    rep = models.estimate_scaling(models.stable_model(1.5), 1.0, 10.0, n_grid=16)
-    assert rep.alpha_low == pytest.approx(1.5, abs=1e-6)
-    assert rep.alpha_high == pytest.approx(1.5, abs=1e-6)
-
-
 def test_scaling_bracket_order_all_families():
     for m in (models.stable_model(1.2), models.stable_model(1.9),
               models.stable_mixture_model([1.2, 1.8], [1.0, 1.0])):
-        rep = models.estimate_scaling(m, 1e-2, 1e2)
+        rep = models.estimate_scaling(m)
         assert rep.alpha_low <= rep.alpha_high
-    # the truncated family has a quadratic low-frequency regime; its symbol
-    # is quadrature-priced, so certify it on a coarse grid
-    rep = models.estimate_scaling(models.truncated_stable_model(1.5, 1.0),
-                                  1e-1, 1e2, n_grid=24)
+    # the truncated family has a quadratic low-frequency regime
+    rep = models.estimate_scaling(models.truncated_stable_model(1.5, 1.0))
     assert rep.ok and rep.alpha_low <= rep.alpha_high
     assert rep.standing_assumption
 
 
-def _all_pair_scaling(model, theta_min, theta_max, n_grid):
+def _all_pair_scaling(model):
     """The exponents and constants from every grid pair's chord (the former algorithm)."""
-    theta = np.geomspace(theta_min, theta_max, n_grid)
+    theta = np.geomspace(1e-3, 1e3, 384)
     vals = np.asarray(models.eval_psi(model, theta), dtype=float)
     lt, lv = np.log(theta), np.log(vals)
     dlt = lt[None, :] - lt[:, None]
@@ -139,16 +130,14 @@ def _all_pair_scaling(model, theta_min, theta_max, n_grid):
     return a_low, a_high, a_low_1, c_low, C_high
 
 
-@pytest.mark.parametrize("model,theta_min,theta_max,n_grid", [
-    (models.stable_model(1.5), 1e-3, 1e3, 384),
-    (models.stable_model(1.5), 1.0, 10.0, 16),
-    (models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]), 1e-3, 1e3, 384),
-    (models.truncated_stable_model(1.5, 1.0), 1e-1, 1e2, 24),
-], ids=["stable", "stable-one-decade", "mixture", "truncated"])
-def test_scaling_exponents_match_all_pair_chords(model, theta_min, theta_max, n_grid):
-    rep = models.estimate_scaling(model, theta_min, theta_max, n_grid=n_grid)
-    a_low, a_high, a_low_1, c_low, C_high = _all_pair_scaling(model, theta_min, theta_max,
-                                                              n_grid)
+@pytest.mark.parametrize("model", [
+    models.stable_model(1.5),
+    models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]),
+    models.truncated_stable_model(1.5, 1.0),
+], ids=["stable", "mixture", "truncated"])
+def test_scaling_exponents_match_all_pair_chords(model):
+    rep = models.estimate_scaling(model)
+    a_low, a_high, a_low_1, c_low, C_high = _all_pair_scaling(model)
     assert (rep.alpha_low, rep.alpha_high, rep.alpha_low_1) == (a_low, a_high, a_low_1)
     # the pair that attains each exponent is among the pairs: both constants are one
     assert abs(c_low - 1.0) <= 1e-12 and abs(C_high - 1.0) <= 1e-12
@@ -158,7 +147,7 @@ def test_scaling_rejects_nonmonotone_symbol():
     wiggly = models.custom_model(
         nu=lambda r: np.asarray(r) ** -2.5,
         psi=lambda x: np.asarray(x) ** 1.5 * (1.0 + 0.5 * np.sin(3 * np.log(np.maximum(x, 1e-300)))))
-    rep = models.estimate_scaling(wiggly, 1e-2, 1e2)
+    rep = models.estimate_scaling(wiggly)
     assert not rep.ok
     assert "monotone" in rep.reason
 
@@ -168,7 +157,7 @@ def test_require_valid_scaling_rejects_sublinear():
         nu=lambda r: np.asarray(r) ** -1.9,   # placeholder density
         psi=lambda x: np.abs(np.asarray(x, dtype=float)) ** 0.9)
     with pytest.raises(ValueError, match="rejected"):
-        models.require_valid_scaling(near_linear, theta_min=1e-2, theta_max=1e2)
+        models.require_valid_scaling(near_linear)
     models.require_valid_scaling(models.stable_model(1.5))
 
 

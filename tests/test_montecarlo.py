@@ -9,9 +9,9 @@ from levygreen.kato import constant_drift, sin_drift
 ALPHA = 1.5
 ZERO = constant_drift(0.0)
 
-# simulate_exit takes the walk on spheres for driftless stable inputs without
-# a time cap; the driftless tests run the Euler loop through its own helper,
-# with the walk on spheres beside it
+# simulate_exit takes the walk on spheres for driftless stable inputs; the
+# driftless tests run the Euler loop through its own helper, with the walk on
+# spheres beside it
 ENGINES = {"euler": mc._euler_exit, "walk-on-spheres": mc.simulate_exit}
 
 
@@ -116,9 +116,7 @@ def _euler_two_lookups(model, b, D, x0, config):
     """The Euler loop with a fresh bin lookup at both ends of every step."""
     bins = mc.make_bins(D, config.bin_width)
     draw, alpha = mc._jump_sampler(model)
-    cap_time = config.time_cap
-    if cap_time is None:
-        cap_time = 200.0 * (D.diam / 2.0) ** alpha     # a stable model's cap
+    cap_time = mc._CAP_FACTOR * (D.diam / 2.0) ** alpha     # a stable model's cap
     d_ref = mc._REF_FRAC * D.r0
     d_floor = mc._FLOOR_FRAC * D.r0
 
@@ -155,13 +153,15 @@ def _euler_two_lookups(model, b, D, x0, config):
 
 
 @pytest.mark.parametrize("case", ["drift", "time-cap"])
-def test_euler_sample_matches_two_lookup_loop(stable15, case):
+def test_euler_sample_matches_two_lookup_loop(stable15, monkeypatch, case):
     if case == "drift":
         D, b, x0 = interval_union((-1.0, -0.3), (0.1, 0.4), (0.6, 1.2)), sin_drift(1.0, 5.0), 0.2
-        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=21, bin_width=0.05, chunk=600)
+        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=21, bin_width=0.05)
+        monkeypatch.setattr(mc, "_CHUNK", 600)      # two chunks
     else:
         D, b, x0 = interval_union((-1.0, 1.0)), ZERO, 0.3
-        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=22, bin_width=0.1, time_cap=0.05)
+        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=22, bin_width=0.1)
+        monkeypatch.setattr(mc, "_CAP_FACTOR", 0.05)    # a cap of 0.05 on (-1, 1)
     s = mc._euler_exit(stable15, b, D, x0, cfg)
     tau, exit_pos, occ, occ_sq, censored = _euler_two_lookups(stable15, b, D, x0, cfg)
     assert (case == "time-cap") == (censored > 0)
@@ -171,9 +171,10 @@ def test_euler_sample_matches_two_lookup_loop(stable15, case):
         assert new.tobytes() == old.tobytes()
 
 
-def test_one_component_mixture_draws_the_stable_paths(stable15):
+def test_one_component_mixture_draws_the_stable_paths(stable15, monkeypatch):
     D = interval_union((-1.0, -0.3), (0.1, 0.4), (0.6, 1.2))
-    cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=21, bin_width=0.05, chunk=600)
+    cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=21, bin_width=0.05)
+    monkeypatch.setattr(mc, "_CHUNK", 600)
     a, b = (mc.simulate_exit(m, sin_drift(1.0, 5.0), D, 0.2, cfg)
             for m in (stable15, models.stable_mixture_model([1.5], [1.0])))
     assert a.censored == b.censored
@@ -214,8 +215,6 @@ def test_engine_dispatch(stable15, unit_interval):
     assert engine(stable15, sin_drift(1.0, 5.0)) == "euler"
     assert engine(stable15, lambda z: np.zeros_like(z)) == "euler"    # no declared family
     assert engine(models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]), ZERO) == "euler"
-    assert engine(stable15, ZERO, mc.PathConfig(dt=2e-3, n_paths=50, seed=0,
-                                                time_cap=10.0)) == "euler"
 
 
 def test_drift_shifts_exit_law(stable15, unit_interval):
@@ -330,14 +329,15 @@ def test_bitwise_reproducibility(stable15, unit_interval):
     assert np.array_equal(a.occupation, b.occupation)
 
 
-def test_walk_on_spheres_bitwise_reproducibility(stable15, two_interval):
-    cfg = mc.PathConfig(dt=1e-3, n_paths=5000, seed=123, chunk=2000)
+def test_walk_on_spheres_bitwise_reproducibility(stable15, two_interval, monkeypatch):
+    monkeypatch.setattr(mc, "_CHUNK", 2000)
+    cfg = mc.PathConfig(dt=1e-3, n_paths=5000, seed=123)
     a, b = (mc.simulate_exit(stable15, ZERO, two_interval, 0.5, cfg) for _ in range(2))
     assert a.engine == "walk-on-spheres"
     for name in ("tau", "exit_pos", "occupation", "occupation_sq"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     other = mc.simulate_exit(stable15, ZERO, two_interval, 0.5,
-                             mc.PathConfig(dt=1e-3, n_paths=5000, seed=124, chunk=2000))
+                             mc.PathConfig(dt=1e-3, n_paths=5000, seed=124))
     assert not np.array_equal(a.exit_pos, other.exit_pos)
 
 
@@ -399,11 +399,11 @@ def test_walk_on_spheres_cross_checks_numeric_union_green(stable15, two_interval
     assert np.all(z < 4.0)
 
 
-def test_censoring_reported(stable15, unit_interval):
-    cfg = mc.PathConfig(dt=1e-3, n_paths=200, seed=2, time_cap=0.05)
-    s = mc.simulate_exit(stable15, constant_drift(0.0), unit_interval, 0.0, cfg,
-                         track_occupation=False)
-    assert s.engine == "euler"      # a time cap needs the stepping engine
+def test_censoring_reported(stable15, unit_interval, monkeypatch):
+    monkeypatch.setattr(mc, "_CAP_FACTOR", 0.05)    # a cap of 0.05 on (-1, 1)
+    cfg = mc.PathConfig(dt=1e-3, n_paths=200, seed=2)
+    s = mc._euler_exit(stable15, ZERO, unit_interval, 0.0, cfg, track_occupation=False)
+    assert s.engine == "euler"      # only the stepping engine censors
     assert s.censored > 0
     assert np.all(s.tau <= 0.05 + 1e-12) | np.any(s.tau > 0)
 
