@@ -335,7 +335,7 @@ def cmd_report(cfg: dict, digest: str, out: Path, args) -> int:
     rep = perturbation.comparability_report(pg)
     lines.append(("comparability constant finite", np.isfinite(rep.constant),
                   f"C={rep.constant:.4g}"))
-    if rep.kappa_disc < 1.0 / 3.0:
+    if rep.kappa_disc < perturbation.SMALL_DOMAIN_KAPPA:
         small_ok = rep.inf >= 0.5 + 1e-3 and rep.sup <= 1.5 - 1e-3
         lines.append(("small-domain regime: C <= 2", small_ok,
                       f"ratios in [{rep.inf:.4f}, {rep.sup:.4f}]"))

@@ -424,6 +424,9 @@ def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_
                       bool(np.all(np.isfinite(ratio))), seed)
 
 
+_KAPPA_GRID = 10        # evaluation points of kappa_sup's supremum
+
+
 def kappa(G: GreenFunction, b: Callable, x: float, y: float) -> float:
     """Drift-interaction integral int |b(z) G(x,z) dG(z,y)/dz| dz / G(x,y).
 
@@ -445,9 +448,9 @@ def kappa(G: GreenFunction, b: Callable, x: float, y: float) -> float:
     return val
 
 
-def kappa_sup(G: GreenFunction, b: Callable, n_grid: int = 16) -> float:
-    """Supremum of kappa over a boundary-clustered evaluation grid."""
-    pts = mesh.graded_axis(G.domain.intervals, n_grid)
+def kappa_sup(G: GreenFunction, b: Callable) -> float:
+    """Supremum of kappa over distinct pairs of ``mesh.graded_axis``'s 10-point grid."""
+    pts = mesh.graded_axis(G.domain.intervals, _KAPPA_GRID)
     best = 0.0
     for xv in pts:
         for yv in pts:

@@ -169,6 +169,8 @@ def kato_modulus(b: DriftField, table: KernelTable, r: float) -> float:
     power drifts attain their supremum.  Grid translates share one
     power-substituted distance grid and are evaluated in a single vectorized
     sweep; the declared poles get the split-and-probe scalar treatment.
+    An infinite drift value in the sweep gives an infinite modulus; a NaN
+    drift value, or a NaN integral at a pole, raises ``ValueError``.
     """
     if r <= 0:
         raise ValueError("window radius must be positive")
@@ -176,14 +178,18 @@ def kato_modulus(b: DriftField, table: KernelTable, r: float) -> float:
 
     # shared sweep: int_0^r M(s) (|b(x+s)| + |b(x-s)|) ds on one grid
     s, w = mesh.power_panels(0.0, r, 8.0, 96, order=8, singular_end="left")
-    Mw = table.M_at(s) * w
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = (np.nan_to_num(np.abs(b.func(xs[:, None] + s[None, :])), posinf=0.0)
-                + np.nan_to_num(np.abs(b.func(xs[:, None] - s[None, :])), posinf=0.0)) @ Mw
-    best = float(np.max(vals)) if len(vals) else 0.0
+        both = np.abs(b.func(xs[:, None] + s[None, :])) + np.abs(b.func(xs[:, None] - s[None, :]))
+    if np.isnan(both).any():
+        raise ValueError(f"drift {b.label!r} evaluates to NaN in the window sweep at r={r:.3g}")
+    if np.isinf(both).any():
+        return np.inf
+    best = float(np.max(both @ (table.M_at(s) * w)))
 
     for x in b.singular_points:
         val = _window_integral(b, table, float(x), r)
+        if np.isnan(val):
+            raise ValueError(f"drift {b.label!r}: window integral at its pole {x} is NaN")
         if val == np.inf:
             return np.inf
         best = max(best, val)

@@ -41,9 +41,10 @@ Euler step.  Both forms agree to about 1e-13 relative, near u = +-pi/2 and
 for w down to 1e-300 too.
 
 Estimators: mean exit time, occupation-density histograms (the Monte Carlo
-Green function), and the exit law with a Kolmogorov-Smirnov distance against
-a quadrature exit density.  Both engines run chunks of ``_CHUNK`` paths with
-split seeds, so runs are reproducible bit for bit for a fixed seed.
+Green function), and the exit law; ``ks_distance`` measures exit positions
+against a reference CDF such as a quadrature exit density's.  Both engines
+run chunks of ``_CHUNK`` paths with split seeds, so runs are reproducible
+bit for bit for a fixed seed.
 This module imports no scipy module.
 """
 
@@ -501,10 +502,12 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
 
 
 def mc_exit_law(model: LevyModel, b: Callable, D: C11Set, x0: float,
-                config: PathConfig, cdf: Callable | None = None) -> dict:
-    """Exit-position histogram, plus a KS distance when a reference CDF is given."""
-    s = simulate_exit(model, b, D, x0, config, track_occupation=False)
-    return _exit_law(s, D, cdf)
+                config: PathConfig) -> dict:
+    """Exit-position histogram, boundary hits and the sample.
+
+    The KS distance to a reference law is ``ks_distance(law["sample"].exit_pos, cdf)``.
+    """
+    return _exit_law(simulate_exit(model, b, D, x0, config, track_occupation=False), D)
 
 
 def exit_histogram(exit_pos: np.ndarray, D: C11Set) -> tuple[np.ndarray, np.ndarray]:
@@ -513,11 +516,8 @@ def exit_histogram(exit_pos: np.ndarray, D: C11Set) -> tuple[np.ndarray, np.ndar
     return np.histogram(exit_pos, bins=80, range=(lo - 2.0 * D.diam, hi + 2.0 * D.diam))
 
 
-def _exit_law(s: ExitSample, D: C11Set, cdf: Callable | None = None) -> dict:
+def _exit_law(s: ExitSample, D: C11Set) -> dict:
     counts, edges = exit_histogram(s.exit_pos, D)
     boundary_hits = int(sum(np.count_nonzero(s.exit_pos == e)
                             for iv in D.intervals for e in iv))
-    out = {"edges": edges, "counts": counts, "sample": s, "boundary_hits": boundary_hits}
-    if cdf is not None:
-        out["ks"] = ks_distance(s.exit_pos, cdf)
-    return out
+    return {"edges": edges, "counts": counts, "sample": s, "boundary_hits": boundary_hits}

@@ -13,16 +13,16 @@ the compensated kernel, which integrates in closed form, so the diagonal of
 B absorbs the difference between the exact singular integral and what the
 plain weights would have produced.
 
-Two solve modes: a direct dense solve (works whenever I - B is invertible)
-and the fixed-point iteration Gt <- G + Gt B, which converges exactly when
-the discrete interaction bound kappa is below one and doubles as a
-contraction diagnostic.  ``scipy.linalg`` loads with the first
+One solve: a direct dense LU solve of Gt (I - B) = G.  It needs I - B
+invertible, not the contraction (discrete interaction bound kappa below
+one) under which the perturbation series Gt = sum_k G B^k converges;
+``kappa_disc`` reports that bound.  ``scipy.linalg`` loads with the first
 ``solve_perturbed``, not with the module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -41,12 +41,14 @@ __all__ = [
     "solve_perturbed",
     "comparability_report",
     "find_epsilon",
+    "SMALL_DOMAIN_KAPPA",
     "perturbed_poisson",
     "perturbed_poisson_mass",
 ]
 
-_SOLVE_TOL = 1e-8       # direct-solve residual bound and fixed-point stopping change
-_MAX_SWEEPS = 200       # fixed-point sweeps before giving up
+_SOLVE_TOL = 1e-8       # relative residual above which a solve is refused
+SMALL_DOMAIN_KAPPA = 1.0 / 3.0  # interaction bound that keeps Gt/G within [1/2, 3/2]
+_SCALES = (1e-3, 1.0)   # smallest and largest scale find_epsilon tests
 
 
 @dataclass(frozen=True)
@@ -135,14 +137,14 @@ def _operator(G: GreenFunction, b: Callable, grid: NystromGrid, dG: np.ndarray) 
     return B
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbedGreen:
     """Solved perturbed Green function on a Nystrom grid.
 
     ``matrix[i, j]`` approximates Gt(x_i, y_j); rows index the source.  The
-    stored operator factorization lets ``row`` evaluate Gt(x, .) exactly in
-    the discretization for any source x, because each source row solves the
-    same linear system independently.
+    stored factorization ``lu`` of the transposed operator lets ``row``
+    evaluate Gt(x, .) exactly in the discretization for any source x,
+    because each source row solves the same linear system independently.
     """
 
     grid: NystromGrid
@@ -150,67 +152,37 @@ class PerturbedGreen:
     unperturbed: np.ndarray
     matrix: np.ndarray
     kappa_disc: float
-    mode: str
-    converged: bool
     residual: float
-    trace: list = field(default_factory=list)
-    _lu: tuple | None = None
+    lu: tuple
 
     def row(self, x: float) -> np.ndarray:
         """Gt(x, .) at the grid nodes for an arbitrary source point."""
         from scipy.linalg import lu_solve
         g = np.asarray(self.green.value(float(x), self.grid.nodes), dtype=float)
-        return lu_solve(self._lu, g)
+        return lu_solve(self.lu, g)
 
     def ratios(self) -> np.ndarray:
         return self.matrix / self.unperturbed
 
 
-def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid,
-                    mode: str = "direct") -> PerturbedGreen:
-    """Solve the perturbation identity on the grid.
+def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid) -> PerturbedGreen:
+    """Solve the perturbation identity on the grid by one LU factorization of I - B.
 
-    direct mode factors I - B once and reuses it for every row (and later
-    row queries), and refuses a solve whose relative residual exceeds 1e-8;
-    fixed-point mode iterates Gt <- G + Gt B for at most 200 sweeps, stops
-    once the sup-change relative to the unperturbed kernel is at most 1e-8,
-    requires the discrete interaction bound kappa below one, and records the
-    sup-change trace as a contraction diagnostic.
+    The factor serves every row (and later row queries).  A solve whose
+    relative residual exceeds 1e-8 is refused.  No contraction is needed:
+    the discrete interaction bound ``kappa_disc`` may exceed one.
     """
     from scipy.linalg import lu_factor, lu_solve
     Gmat, dG = discretize_green(G, grid)
     B = _operator(G, b, grid, dG)
     kappa_disc = float(np.max((Gmat @ np.abs(B)) / Gmat))
     lu = lu_factor((np.eye(grid.n) - B).T)
-
-    trace: list[float] = []
-    if mode == "direct":
-        tilde = lu_solve(lu, Gmat.T).T
-        converged = True
-    elif mode == "fixed_point":
-        if kappa_disc >= 1.0:
-            raise ValueError(
-                f"fixed-point iteration refused: discrete interaction bound "
-                f"{kappa_disc:.3f} >= 1; use direct mode")
-        tilde = Gmat.copy()
-        converged = False
-        for _ in range(_MAX_SWEEPS):
-            nxt = Gmat + tilde @ B
-            change = float(np.max(np.abs(nxt - tilde) / Gmat))
-            trace.append(change)
-            tilde = nxt
-            if change <= _SOLVE_TOL:
-                converged = True
-                break
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    tilde = lu_solve(lu, Gmat.T).T
     residual = float(np.max(np.abs(tilde - Gmat - tilde @ B)) / np.max(Gmat))
-    if mode == "direct" and residual > _SOLVE_TOL:
+    if residual > _SOLVE_TOL:
         raise RuntimeError(f"direct solve residual {residual:.2e} exceeds {_SOLVE_TOL:.2e}; "
                            "the system is close to singular")
-    return PerturbedGreen(grid, G, Gmat, tilde, kappa_disc, mode,
-                          converged, residual, trace, lu)
+    return PerturbedGreen(grid, G, Gmat, tilde, kappa_disc, residual, lu)
 
 
 @dataclass(frozen=True)
@@ -222,8 +194,6 @@ class ComparabilityReport:
     inf: float
     constant: float
     kappa_disc: float
-    mode: str
-    converged: bool
     residual: float
     hist_edges: tuple
     hist_counts: tuple
@@ -239,33 +209,30 @@ def comparability_report(pg: PerturbedGreen) -> ComparabilityReport:
         constant = max(sup, 1.0 / inf)
     counts, edges = np.histogram(np.log(np.clip(r, 1e-300, None)), bins=40)
     return ComparabilityReport(pg.grid.n, sup, inf, float(constant), pg.kappa_disc,
-                               pg.mode, pg.converged, pg.residual,
-                               tuple(edges), tuple(counts))
+                               pg.residual, tuple(edges), tuple(counts))
 
 
 def find_epsilon(domain_family: Callable[[float], C11Set], b: Callable,
-                 green_builder: Callable[[C11Set], GreenFunction],
-                 threshold: float = 1.0 / 3.0, s_min: float = 1e-3, s_max: float = 1.0,
-                 n_grid: int = 12) -> float:
-    """Largest tested scale whose domain keeps the interaction bound below threshold.
+                 green_builder: Callable[[C11Set], GreenFunction]) -> float:
+    """Largest tested scale in [1e-3, 1] whose domain keeps kappa_sup below 1/3.
 
     The interaction integral shrinks with the domain, so a monotone
     bisection over the scale parameter (12 steps, each halving the bracket
-    in log scale) finds the crossing; fails if even the smallest tested
-    scale is above threshold.
+    in log scale) finds the crossing; fails if even the smallest scale is
+    at or above the bound ``SMALL_DOMAIN_KAPPA``.
     """
     def kap(s: float) -> float:
-        return kappa_sup(green_builder(domain_family(s)), b, n_grid=n_grid)
+        return kappa_sup(green_builder(domain_family(s)), b)
 
-    if kap(s_max) < threshold:
-        return s_max
-    if kap(s_min) >= threshold:
+    lo, hi = _SCALES
+    if kap(hi) < SMALL_DOMAIN_KAPPA:
+        return hi
+    if kap(lo) >= SMALL_DOMAIN_KAPPA:
         raise ValueError(
-            f"interaction bound stays above {threshold} down to scale {s_min}")
-    lo, hi = s_min, s_max
+            f"interaction bound stays above {SMALL_DOMAIN_KAPPA:.4g} down to scale {lo}")
     for _ in range(12):
         mid = np.sqrt(lo * hi)
-        if kap(mid) < threshold:
+        if kap(mid) < SMALL_DOMAIN_KAPPA:
             lo = mid
         else:
             hi = mid

@@ -337,8 +337,7 @@ def test_kappa_shrinks_with_domain():
     # the interaction bound decreases along a shrinking family of fixed
     # distortion and tends to zero
     b = constant_drift(1.0)
-    ks = [green.kappa_sup(green.stable_oracle(ALPHA, interval_union((-s, s))), b,
-                          n_grid=8)
+    ks = [green.kappa_sup(green.stable_oracle(ALPHA, interval_union((-s, s))), b)
           for s in (1.0, 0.3, 0.1, 0.03)]
     assert all(k2 < k1 for k1, k2 in zip(ks, ks[1:]))
     assert ks[0] > 0 and ks[-1] < 0.25 * ks[0]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,25 @@ def test_certificates(table15):
     cert = kato.is_kato(kato.power_drift(0.6), table15)
     assert not cert.passed
     assert np.isinf(cert.moduli[0])
+
+
+@pytest.mark.parametrize("drift,where", [
+    (kato.constant_drift(np.nan), "sweep"),
+    (kato.custom_drift(lambda z: np.where(np.abs(np.asarray(z)) < 0.3, np.nan, 1.0), "core"),
+     "sweep"),
+    (kato.power_drift(0.4, strength=np.nan), "sweep"),
+    # finite in the translate sweep, NaN only within 1e-7 of its declared pole
+    (kato.DriftField(lambda z: np.where(np.abs(np.asarray(z)) < 1e-7, np.nan, 1.0), "custom",
+                     (0.0,), "spike"), "pole"),
+], ids=["constant", "nan-core", "power-strength", "nan-at-pole"])
+def test_nan_drift_is_refused(drift, where, table15):
+    with pytest.raises(ValueError, match=f"drift '{re.escape(drift.label)}'.*{where}"):
+        kato.is_kato(drift, table15)
+
+
+def test_infinite_drift_fails(table15):
+    cert = kato.is_kato(kato.constant_drift(np.inf), table15)
+    assert not cert.passed and cert.moduli == (np.inf,)
 
 
 def test_bounded_drifts_accepted(table15):

@@ -354,8 +354,8 @@ def test_exit_law_ks_zero_drift(stable15, oracle15, unit_interval):
     for engine, simulate in ENGINES.items():
         law = mc._exit_law(simulate(stable15, ZERO, unit_interval, 0.0,
                                     mc.PathConfig(dt=2e-3, n_paths=30000, seed=5),
-                                    track_occupation=False), unit_interval, cdf=cdf)
-        assert law["ks"] < 0.015, engine
+                                    track_occupation=False), unit_interval)
+        assert mc.ks_distance(law["sample"].exit_pos, cdf) < 0.015, engine
         assert law["boundary_hits"] == 0, engine
         # mirror symmetry of the histogram within multinomial noise
         counts = law["counts"]

@@ -63,34 +63,59 @@ def test_zero_drift_returns_unperturbed(oracle15, grid200):
     assert rep.constant == 1.0
 
 
-def test_modes_agree(oracle15):
+def _perturbation_series(G, b, grid):
+    """Partial sums of G + G B + G B^2 + ... and the sup over G of each term.
+
+    An independent reference for the direct solve: the series that the
+    perturbation identity Gt = G + Gt B expands into, summed until a term
+    is below 1e-16 of G.
+    """
+    Gmat, dG = pert.discretize_green(G, grid)
+    B = pert._operator(G, b, grid, dG)
+    total, term, sizes = Gmat.copy(), Gmat, [1.0]
+    for _ in range(100):
+        term = term @ B
+        sizes.append(float(np.max(np.abs(term) / Gmat)))
+        total += term
+        if sizes[-1] <= 1e-16:
+            break
+    return total, sizes
+
+
+@pytest.fixture(scope="module")
+def series15():
+    # (-0.15, 0.15), constant drift 1, 160 nodes: kappa_disc below one
     D = interval_union((-0.15, 0.15))
     G = green.stable_oracle(ALPHA, D)
     grid = pert.build_grid(D, 160, ALPHA)
     b = constant_drift(1.0)
-    pgd = pert.solve_perturbed(G, b, grid, mode="direct")
-    pgf = pert.solve_perturbed(G, b, grid, mode="fixed_point")
-    assert pgf.converged
-    assert np.max(np.abs(pgd.matrix - pgf.matrix)) < 1e-8
-    assert pgd.residual < 1e-8 and pgf.residual < 1e-6
+    pg = pert.solve_perturbed(G, b, grid)
+    series, sizes = _perturbation_series(G, b, grid)
+    return pg, series, sizes
 
 
-def test_fixed_point_trace_contracts(oracle15):
-    D = interval_union((-0.15, 0.15))
-    G = green.stable_oracle(ALPHA, D)
-    grid = pert.build_grid(D, 120, ALPHA)
-    pg = pert.solve_perturbed(G, constant_drift(1.0), grid, mode="fixed_point")
+def test_modes_agree(series15):
+    # the direct solve and the summed perturbation series give one matrix
+    pg, series, sizes = series15
+    assert pg.kappa_disc < 1.0 and sizes[-1] <= 1e-16
+    assert np.max(np.abs(series - pg.matrix) / pg.matrix) < 1e-12
+    assert pg.residual < 1e-8
+
+
+def test_fixed_point_trace_contracts(series15):
+    # each term of the series is at most kappa_disc times the one before,
+    # in sup over G
+    pg, _, sizes = series15
     assert pg.kappa_disc < 1.0
-    tr = pg.trace
-    assert all(t2 <= pg.kappa_disc * t1 * (1 + 1e-9)
-               for t1, t2 in zip(tr, tr[1:]))
+    assert all(s2 <= pg.kappa_disc * s1 * (1 + 1e-9) for s1, s2 in zip(sizes, sizes[1:]))
 
 
-def test_fixed_point_refuses_strong_interaction(oracle15, grid200):
-    pg = pert.solve_perturbed(oracle15, constant_drift(1.0), grid200, mode="direct")
+def test_direct_solve_needs_no_contraction(oracle15, grid200):
+    # the discrete interaction bound is above one, where the series need not
+    # converge, and the LU solve still meets its residual bound
+    pg = pert.solve_perturbed(oracle15, constant_drift(1.0), grid200)
     assert pg.kappa_disc >= 1.0
-    with pytest.raises(ValueError, match="refused"):
-        pert.solve_perturbed(oracle15, constant_drift(1.0), grid200, mode="fixed_point")
+    assert pg.residual <= 1e-8
 
 
 def test_reflection_equivariance_even_drift(oracle15, grid200):
@@ -138,26 +163,26 @@ def test_comparability_report_fields(tmp_path, oracle15, grid200):
     path = tmp_path / "comparability.json"
     cli._write_json(path, {"report": rep})
     d = json.loads(path.read_text())["report"]
-    assert set(d) >= {"sup", "inf", "constant", "kappa_disc", "mode"}
+    assert set(d) == {"n", "sup", "inf", "constant", "kappa_disc", "residual", "hist_edges",
+                      "hist_counts"}
     assert d["constant"] == rep.constant and sum(d["hist_counts"]) == grid200.n ** 2
 
 
 def test_find_epsilon_zero_drift_returns_max(oracle15):
     eps = pert.find_epsilon(lambda s: interval_union((-s / 2, s / 2)),
                             constant_drift(0.0),
-                            lambda dom: green.stable_oracle(ALPHA, dom),
-                            s_max=0.8)
-    assert eps == 0.8
+                            lambda dom: green.stable_oracle(ALPHA, dom))
+    assert eps == 1.0
 
 
 def test_find_epsilon_bisection_and_drift_monotonicity():
     builder = lambda dom: green.stable_oracle(ALPHA, dom)
     family = lambda s: interval_union((-s / 2, s / 2))
-    e1 = pert.find_epsilon(family, constant_drift(1.0), builder, n_grid=8)
-    e2 = pert.find_epsilon(family, constant_drift(2.0), builder, n_grid=8)
+    e1 = pert.find_epsilon(family, constant_drift(1.0), builder)
+    e2 = pert.find_epsilon(family, constant_drift(2.0), builder)
     assert 0 < e2 <= 0.5 * e1
     # the located scale keeps the interaction bound under the threshold
-    k = green.kappa_sup(builder(family(e1)), constant_drift(1.0), n_grid=8)
+    k = green.kappa_sup(builder(family(e1)), constant_drift(1.0))
     assert k < 1.0 / 3.0
 
 
@@ -165,8 +190,7 @@ def test_find_epsilon_unreachable_reports_failure():
     builder = lambda dom: green.stable_oracle(ALPHA, dom)
     family = lambda s: interval_union((-s / 2, s / 2))
     with pytest.raises(ValueError, match="above"):
-        pert.find_epsilon(family, constant_drift(200.0), builder,
-                          s_min=0.5, s_max=1.0, n_grid=6)
+        pert.find_epsilon(family, constant_drift(200.0), builder)
 
 
 def test_small_domain_two_sided_bounds():
@@ -174,7 +198,7 @@ def test_small_domain_two_sided_bounds():
     builder = lambda dom: green.stable_oracle(ALPHA, dom)
     family = lambda s: interval_union((-s / 2, s / 2))
     b = constant_drift(1.0)
-    eps = pert.find_epsilon(family, b, builder, n_grid=8)
+    eps = pert.find_epsilon(family, b, builder)
     D = family(eps)
     grid = pert.build_grid(D, 200, ALPHA)
     pg = pert.solve_perturbed(builder(D), b, grid)
