@@ -11,9 +11,9 @@ kato refuse ``truncated-stable`` and any model whose lower scaling exponent
 above frequency one is at most one (``models.require_valid_scaling``), the
 paper's weak lower scaling hypothesis, or whose table quadratures miss
 their target (``kernels.KernelQuadratureError``).  A config number that is
-not finite (``NaN``, ``Infinity``, or a literal such as ``1e400`` that
-overflows) is a config error too.  Only this module and
-``svgplot`` write files: the computing modules return arrays and result
+not finite (``NaN``, ``Infinity``, or a float or integer literal such as
+``1e400`` that overflows a float) is a config error too.  Only this module
+and ``svgplot`` write files: the computing modules return arrays and result
 dataclasses, and the CSV and JSON formats are decided here.
 """
 
@@ -46,10 +46,16 @@ def _finite(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    _finite(text)
+    return int(text)
+
+
 def _load_config(path: str) -> tuple[dict, str]:
     try:
         text = Path(path).read_text()
-        cfg = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        cfg = json.loads(text, parse_float=_finite, parse_int=_finite_int,
+                         parse_constant=_finite)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     digest = hashlib.sha256(

@@ -14,9 +14,8 @@ class C11Set:
     """Finite union of disjoint open intervals with a positive gap structure.
 
     The localization radius r0 is the smallest of all interval lengths and
-    gaps; the distortion diam/r0 measures how far the set is from a single
-    interval of comparable size.  Interval endpoints are treated as open:
-    boundary points belong to the complement.
+    gaps.  Interval endpoints are treated as open: boundary points belong to
+    the complement.
     """
 
     intervals: tuple[tuple[float, float], ...]
@@ -43,14 +42,6 @@ class C11Set:
         lengths = [b - a for a, b in self.intervals]
         gaps = [a2 - b1 for (a1, b1), (a2, b2) in zip(self.intervals, self.intervals[1:])]
         return min(lengths + gaps)
-
-    @property
-    def distortion(self) -> float:
-        return self.diam / self.r0
-
-    @property
-    def total_length(self) -> float:
-        return sum(b - a for a, b in self.intervals)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)

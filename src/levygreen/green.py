@@ -391,7 +391,6 @@ class TripleStat:
     sup: float
     argmax: tuple[float, float, float]
     finite: bool
-    seed: int
 
 
 def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_000,
@@ -421,7 +420,7 @@ def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_
     i = int(np.argmax(ratio))
     return TripleStat(len(ratio), float(ratio[i]),
                       (float(x[i]), float(y[i]), float(z[i])),
-                      bool(np.all(np.isfinite(ratio))), seed)
+                      bool(np.all(np.isfinite(ratio))))
 
 
 _KAPPA_GRID = 10        # evaluation points of kappa_sup's supremum

@@ -178,7 +178,7 @@ def kato_modulus(b: DriftField, table: KernelTable, r: float) -> float:
 
     # shared sweep: int_0^r M(s) (|b(x+s)| + |b(x-s)|) ds on one grid
     s, w = mesh.power_panels(0.0, r, 8.0, 96, order=8, singular_end="left")
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         both = np.abs(b.func(xs[:, None] + s[None, :])) + np.abs(b.func(xs[:, None] - s[None, :]))
     if np.isnan(both).any():
         raise ValueError(f"drift {b.label!r} evaluates to NaN in the window sweep at r={r:.3g}")

@@ -278,8 +278,11 @@ class KernelTable:
     """Write-once grid of the kernel hierarchy with log-log interpolation.
 
     Built by :func:`build_table`; immutable afterwards and safe to share.
-    ``M_at`` extends below the grid by the fitted low-end power law, which
-    the Kato-class machinery needs for shrinking windows.
+    The lookups take positive radii in the tabulated range, since the
+    paper's estimates use V, M and K only at positive distances; a radius
+    r <= 0, or one outside the range, raises ``ValueError``.  ``M_at`` alone
+    extends below the grid, by the fitted low-end power law, which the
+    Kato-class machinery needs for shrinking windows.
     ``err`` (shape (3, n)) is the estimated relative error of the batched h,
     K and dK at each point; where it is above 1e-10 or not finite, the
     table holds the QUADPACK oracle's value instead.
@@ -316,33 +319,20 @@ class KernelTable:
         return out if out.ndim else float(out)
 
     def V_at(self, r):
-        arr = np.asarray(r, dtype=float)
-        zero = arr == 0.0
-        if np.any(zero):
-            out = np.zeros(arr.shape, dtype=float)
-            nz = ~zero
-            if np.any(nz):
-                out[nz] = self._eval(self._V, arr[nz], "V")
-            return out if out.ndim else float(out)
+        """V at positive radii in the tabulated range."""
         return self._eval(self._V, r, "V")
 
     def M_at(self, r):
+        """M at positive radii up to the top of the grid; below r[0], the power law."""
         arr = np.asarray(r, dtype=float)
         below = (arr > 0) & (arr < self.r[0])
-        if np.any(below):
-            inner = self._eval(self._M, np.where(below, self.r[0], arr), "M")
-            out = np.where(below, self.M[0] * (np.maximum(arr, 1e-300) / self.r[0]) ** self._M_slope,
-                           inner)
-            return out if out.ndim else float(out)
-        return self._eval(self._M, r, "M")
-
-    def K_at(self, x):
-        arr = np.abs(np.asarray(x, dtype=float))
-        zero = arr == 0.0
-        out = np.zeros(arr.shape, dtype=float)
-        if np.any(~zero):
-            out[~zero] = self._eval(self._K, arr[~zero], "K")
+        inner = self._eval(self._M, np.where(below, self.r[0], arr), "M")
+        out = np.where(below, self.M[0] * (arr / self.r[0]) ** self._M_slope, inner)
         return out if out.ndim else float(out)
+
+    def K_at(self, r):
+        """K at positive radii in the tabulated range."""
+        return self._eval(self._K, r, "K")
 
 
 def build_table(model: LevyModel, diam: float = 1.0,

@@ -37,7 +37,6 @@ __all__ = [
     "custom_model",
     "model_from_config",
     "stable_index",
-    "eval_psi",
     "estimate_scaling",
     "require_valid_scaling",
 ]
@@ -188,14 +187,6 @@ def _map_scalar(fn: Callable[[float], float], x):
 # evaluators
 
 
-def eval_psi(model: LevyModel, xi):
-    """Symbol at frequency xi >= 0."""
-    arr = np.asarray(xi, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("frequency must be nonnegative")
-    return model.psi(arr)
-
-
 def _dyadic_head(quad, f, top: float):
     """int_0^top f as dyadic shells top*[2^-(k+1), 2^-k] plus one closing pass.
 
@@ -281,12 +272,10 @@ class ScalingReport:
     alpha_low: float
     alpha_high: float
     alpha_low_1: float
-    ok: bool = True
-    reason: str = ""
 
     @property
     def standing_assumption(self) -> bool:
-        return self.ok and self.alpha_low_1 > 1.0
+        return self.alpha_low_1 > 1.0
 
 
 def estimate_scaling(model: LevyModel) -> ScalingReport:
@@ -295,18 +284,16 @@ def estimate_scaling(model: LevyModel) -> ScalingReport:
     The grid has 64 geometric points per decade.  A chord slope between grid
     points i < j is the log-theta-weighted mean of the slopes between the
     neighbouring points it spans, so the extremal chord slopes are the
-    extremal neighbour slopes.  Non-monotone symbol samples make the report
-    fail rather than extrapolate.
+    extremal neighbour slopes.  Nonpositive or non-monotone symbol samples
+    raise ``ValueError`` rather than extrapolate.
     """
     theta = np.geomspace(1e-3, 1e3, 384)
-    vals = np.asarray(eval_psi(model, theta), dtype=float)
+    vals = np.asarray(model.psi(theta), dtype=float)
 
     if np.any(vals <= 0):
-        return ScalingReport(np.nan, np.nan, np.nan, ok=False,
-                             reason="nonpositive symbol samples")
+        raise ValueError("scaling estimation failed: nonpositive symbol samples")
     if np.any(np.diff(vals) < -1e-12 * vals[:-1]):
-        return ScalingReport(np.nan, np.nan, np.nan, ok=False,
-                             reason="non-monotone symbol samples")
+        raise ValueError("scaling estimation failed: non-monotone symbol samples")
 
     slopes = np.diff(np.log(vals)) / np.diff(np.log(theta))
     a_low_1 = float(np.min(slopes[theta[:-1] >= 1.0]))
@@ -314,10 +301,11 @@ def estimate_scaling(model: LevyModel) -> ScalingReport:
 
 
 def require_valid_scaling(model: LevyModel) -> ScalingReport:
-    """Certify the standing hypothesis (super-linear growth above frequency one)."""
+    """Certify the standing hypothesis (super-linear growth above frequency one).
+
+    ``ValueError`` when it fails, as when :func:`estimate_scaling` refuses the symbol.
+    """
     rep = estimate_scaling(model)
-    if not rep.ok:
-        raise ValueError(f"scaling estimation failed: {rep.reason}")
     if not rep.standing_assumption:
         raise ValueError(
             f"model rejected: lower scaling exponent above frequency one is "

@@ -121,9 +121,6 @@ class McEstimate:
     se: float
     n: int
 
-    def agrees_with(self, other: float, n_se: float = 3.0) -> bool:
-        return abs(self.value - other) <= n_se * self.se
-
 
 @dataclass(frozen=True)
 class BinGrid:
@@ -147,10 +144,6 @@ class BinGrid:
         ends = np.array(self.domain.intervals)
         return (ends[:, 0], ends[:, 1] - ends[:, 0],
                 np.array([len(e) - 1 for e in self.edges]), np.array(self.offsets))
-
-    def index(self, x: np.ndarray) -> np.ndarray:
-        """Global bin index for in-domain positions (undefined outside)."""
-        return self._index(_component(self._lookup[0], x), x)
 
     def _index(self, c: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Global bin index of in-domain positions x that lie in components c."""
@@ -238,14 +231,14 @@ def _components(model: LevyModel) -> tuple:
 def _jump_sampler(model: LevyModel):
     """Exact increment sampler of the driftless noise, dt vectorized, and the largest index.
 
-    One stable draw over w_i dt per component; the first skips a unit
-    weight, so a stable draw is ``sample_stable_increment`` bit for bit.
+    One stable draw over w_i dt per component; a stable model's unit weight
+    leaves dt exact, so its draw is ``sample_stable_increment`` bit for bit.
     """
     pairs = _components(model)
     (a0, w0), *rest = pairs
 
     def draw(rng: np.random.Generator, dt, size: int) -> np.ndarray:
-        out = sample_stable_increment(a0, dt if w0 == 1.0 else w0 * dt, rng, size)
+        out = sample_stable_increment(a0, w0 * dt, rng, size)
         for a, w in rest:
             out += sample_stable_increment(a, w * dt, rng, size)
         return out

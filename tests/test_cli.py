@@ -214,6 +214,12 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
                       "weights": [1.0, float("inf")]}}),
     ("perturb", {"domain": {"intervals": [[-0.02, float("nan")]]}}),
     ("perturb", {"drift": {"family": "constant", "value": float("nan")}}),
+    # integer literals too large for a float
+    ("mc", {"source": 10 ** 400}),
+    ("mc", {"drift": {"family": "constant", "value": 10 ** 400}}),
+    ("mc", {"model": {"family": "stable-mixture", "alphas": [1.2, 1.8],
+                      "weights": [1, 10 ** 400]}}),
+    ("mc", {"domain": {"intervals": [[-1, 10 ** 400]]}}),
 ], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
         "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
         "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
@@ -225,7 +231,8 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
         "mc-dt-boolean", "mc-bin-width-boolean", "kernels-sublinear-mixture",
         "kato-sublinear-mixture", "kernels-near-one-mixture", "kato-near-one-mixture",
         "kato-drift-nan", "mc-mixture-weight-infinite", "perturb-endpoint-nan",
-        "perturb-drift-nan"])
+        "perturb-drift-nan", "mc-source-int-overflow", "mc-drift-int-overflow",
+        "mc-mixture-weight-int-overflow", "mc-endpoint-int-overflow"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
     p = tmp_path / "c.json"
     p.write_text(json.dumps(dict(SMALL_CFG, **patch)))

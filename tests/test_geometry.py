@@ -56,7 +56,7 @@ def test_distortion_at_least_one():
     for D in (interval_union((-1, 1)),
               interval_union((-1, -0.2), (0.2, 1)),
               interval_union((0, 1), (1.5, 2.0), (10.0, 11.0))):
-        assert D.distortion >= 1.0
+        assert D.diam / D.r0 >= 1.0
 
 
 def test_contains():

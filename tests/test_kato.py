@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ def test_nan_drift_is_refused(drift, where, table15):
 
 def test_infinite_drift_fails(table15):
     cert = kato.is_kato(kato.constant_drift(np.inf), table15)
+    assert not cert.passed and cert.moduli == (np.inf,)
+
+
+def test_overflowing_drift_fails_without_warning(table15):
+    # |b(x+s)| + |b(x-s)| overflows to inf in the sweep: an infinite modulus, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = kato.is_kato(kato.constant_drift(1e308), table15)
     assert not cert.passed and cert.moduli == (np.inf,)
 
 

@@ -48,14 +48,31 @@ def test_h_truncated_vanishes_at_infinity():
 
 
 def test_V_closed_form_and_zero(table15):
-    assert table15.V_at(0.0) == 0.0
+    # the estimates use V only at positive distances; r = 0 is refused
+    with pytest.raises(ValueError, match="positive radii"):
+        table15.V_at(0.0)
     for r in (0.2, 1.7):
         assert table15.V_at(r) == pytest.approx(A ** -0.5 * r ** (ALPHA / 2), rel=1e-10)
 
 
-def test_K_at_origin_and_symmetry(table15):
-    assert table15.K_at(0.0) == 0.0
-    assert table15.K_at(-0.7) == table15.K_at(0.7)
+def test_lookups_refuse_nonpositive_radii(table15):
+    # the estimates take V, M and K at positive distances only
+    for lookup in (table15.V_at, table15.M_at, table15.K_at):
+        for r in (0.0, -0.7, np.array([0.7, 0.0])):
+            with pytest.raises(ValueError, match="positive radii"):
+                lookup(r)
+
+
+def test_M_below_grid_is_the_power_law(stable15):
+    # kato's shrinking windows reach below r[0] = 1e-6; for the stable table
+    # the fitted low-end law is M(r) = r^(alpha - 2) / A
+    table = kernels.build_table(stable15, diam=1.0, points_per_decade=128)
+    assert len(table.r) == 1024 and table.r[0] == pytest.approx(1e-6, rel=1e-12)
+    r = np.geomspace(1e-12, 4e-6, 9)
+    got = table.M_at(r)
+    want = r ** (ALPHA - 2) / A
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    assert np.array_equal(got, [table.M_at(float(t)) for t in r])
 
 
 def test_K_quadrature_against_gamma_closed_form():

@@ -7,25 +7,20 @@ from levygreen import models
 
 def test_stable_psi_is_exact_power():
     m = models.stable_model(1.5)
-    assert models.eval_psi(m, 2.0) == pytest.approx(2.0 ** 1.5, rel=0, abs=0)
-    assert models.eval_psi(m, 0.0) == 0.0
+    assert m.psi(2.0) == pytest.approx(2.0 ** 1.5, rel=0, abs=0)
+    assert m.psi(0.0) == 0.0
 
 
 def test_psi_zero_for_all_families():
     for m in (models.stable_model(1.2),
               models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]),
               models.truncated_stable_model(1.5, 2.0)):
-        assert models.eval_psi(m, 0.0) == 0.0
+        assert m.psi(0.0) == 0.0
 
 
 def test_mixture_psi_at_unit_argument():
     m = models.stable_mixture_model([1.2, 1.8], [1.0, 1.0])
-    assert models.eval_psi(m, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-
-def test_eval_psi_rejects_negative_frequency():
-    with pytest.raises(ValueError):
-        models.eval_psi(models.stable_model(1.5), -1.0)
+    assert m.psi(1.0) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_nu_homogeneity_stable():
@@ -78,7 +73,6 @@ def test_psi_from_nu_finds_a_density_supported_near_zero():
 
 def test_scaling_stable_is_exact():
     rep = models.estimate_scaling(models.stable_model(1.5))
-    assert rep.ok
     assert rep.alpha_low == pytest.approx(1.5, abs=1e-6)
     assert rep.alpha_high == pytest.approx(1.5, abs=1e-6)
     assert rep.alpha_low_1 == pytest.approx(1.5, abs=1e-6)
@@ -102,14 +96,14 @@ def test_scaling_bracket_order_all_families():
         assert rep.alpha_low <= rep.alpha_high
     # the truncated family has a quadratic low-frequency regime
     rep = models.estimate_scaling(models.truncated_stable_model(1.5, 1.0))
-    assert rep.ok and rep.alpha_low <= rep.alpha_high
+    assert rep.alpha_low <= rep.alpha_high
     assert rep.standing_assumption
 
 
 def _all_pair_scaling(model):
     """The exponents and constants from every grid pair's chord (the former algorithm)."""
     theta = np.geomspace(1e-3, 1e3, 384)
-    vals = np.asarray(models.eval_psi(model, theta), dtype=float)
+    vals = np.asarray(model.psi(theta), dtype=float)
     lt, lv = np.log(theta), np.log(vals)
     dlt = lt[None, :] - lt[:, None]
     dlv = lv[None, :] - lv[:, None]
@@ -147,9 +141,10 @@ def test_scaling_rejects_nonmonotone_symbol():
     wiggly = models.custom_model(
         nu=lambda r: np.asarray(r) ** -2.5,
         psi=lambda x: np.asarray(x) ** 1.5 * (1.0 + 0.5 * np.sin(3 * np.log(np.maximum(x, 1e-300)))))
-    rep = models.estimate_scaling(wiggly)
-    assert not rep.ok
-    assert "monotone" in rep.reason
+    with pytest.raises(ValueError, match="scaling estimation failed: non-monotone"):
+        models.estimate_scaling(wiggly)
+    with pytest.raises(ValueError, match="scaling estimation failed: non-monotone"):
+        models.require_valid_scaling(wiggly)
 
 
 def test_require_valid_scaling_rejects_sublinear():
@@ -176,6 +171,6 @@ def test_model_from_config_roundtrip():
     assert m.family == "stable" and m.alpha == 1.5
     mix = models.model_from_config(
         {"family": "stable-mixture", "alphas": [1.2, 1.8], "weights": [1, 1]})
-    assert models.eval_psi(mix, 1.0) == pytest.approx(2.0)
+    assert mix.psi(1.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         models.model_from_config({"family": "gaussian"})

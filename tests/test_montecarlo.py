@@ -84,11 +84,17 @@ def test_mixture_increment_characteristic_function(alphas, weights):
 
 def test_bins_cover_domain_exactly(two_interval):
     bins = mc.make_bins(two_interval, 0.05)
-    assert bins.widths.sum() == pytest.approx(two_interval.total_length, rel=1e-12)
+    length = sum(b - a for a, b in two_interval.intervals)
+    assert bins.widths.sum() == pytest.approx(length, rel=1e-12)
     assert np.all(two_interval.contains(bins.centers))
     x = np.array([-0.999, -0.201, 0.201, 0.999])
-    idx = bins.index(x)
+    idx = _bin_index(bins, x)
     assert np.all((idx >= 0) & (idx < bins.n_bins))
+
+
+def _bin_index(bins, x):
+    """The Euler loop's bin lookup: the component of each position, then its bin."""
+    return bins._index(mc._component(bins._lookup[0], x), x)
 
 
 def _bin_index_oracle(bins, x):
@@ -109,7 +115,7 @@ def test_bin_index_matches_per_component_lookup():
                        + [np.nextafter(iv, np.mean(iv)) for iv in D.intervals]
                        + [e[1:-1] for e in bins.edges])
     x = x[D.contains(x)]
-    assert np.array_equal(bins.index(x), _bin_index_oracle(bins, x))
+    assert np.array_equal(_bin_index(bins, x), _bin_index_oracle(bins, x))
 
 
 def _euler_two_lookups(model, b, D, x0, config):
@@ -235,7 +241,7 @@ def test_mean_exit_time_against_closed_form(stable15, unit_interval):
     cfg = mc.PathConfig(dt=1e-3, n_paths=50000, seed=11)
     est = _euler_mean_exit(stable15, unit_interval, 0.0, cfg)
     closed = stable.mean_exit_time(ALPHA, (-1, 1), 0.0)
-    assert est.agrees_with(closed, n_se=3.0)
+    assert abs(est.value - closed) <= 3.0 * est.se
     assert est.se == pytest.approx(np.std(
         mc._euler_exit(stable15, ZERO, unit_interval, 0.0, cfg,
                        track_occupation=False).tau, ddof=1) / np.sqrt(cfg.n_paths))
@@ -246,7 +252,7 @@ def test_walk_on_spheres_mean_exit_time_against_closed_form(unit_interval, alpha
     cfg = mc.PathConfig(dt=1e-3, n_paths=50000, seed=11)
     model = models.stable_model(alpha)
     est = mc.mc_mean_exit_time(model, ZERO, unit_interval, x0, cfg)
-    assert est.agrees_with(stable.mean_exit_time(alpha, (-1, 1), x0), n_se=3.0)
+    assert abs(est.value - stable.mean_exit_time(alpha, (-1, 1), x0)) <= 3.0 * est.se
     # from the centre the first ball is the whole interval: every walk
     # holds the exact mean exit time
     centre = mc.mc_mean_exit_time(model, ZERO, unit_interval, 0.0, cfg)
@@ -393,7 +399,7 @@ def test_walk_on_spheres_cross_checks_numeric_union_green(stable15, two_interval
                                                  bin_width=0.1))
     assert s.engine == "walk-on-spheres"
     est = mc.mean_exit_estimate(s)
-    assert est.agrees_with(green.exit_time_from_green(numeric15, x0), n_se=3.5)
+    assert abs(est.value - green.exit_time_from_green(numeric15, x0)) <= 3.5 * est.se
     assert est.se < 2e-3 * est.value
     z = np.abs(val - _bin_averages(numeric15, x0, bins)) / se
     assert np.all(z < 4.0)
