@@ -12,7 +12,9 @@ above frequency one is at most one (``models.require_valid_scaling``), the
 paper's weak lower scaling hypothesis, or whose table quadratures miss
 their target (``kernels.KernelQuadratureError``).  A config number that is
 not finite (``NaN``, ``Infinity``, or a float or integer literal such as
-``1e400`` that overflows a float) is a config error too.  Only this module
+``1e400`` that overflows a float) is a config error too, and so, for every
+command, is a config, ``grid`` or ``mc`` section that is not a JSON object, a
+grid size below 1 and a seed below 0 (``_check_shape``).  Only this module
 and ``svgplot`` write files: the computing modules return arrays and result
 dataclasses, and the CSV and JSON formats are decided here.
 """
@@ -92,25 +94,33 @@ def _parse_source(cfg: dict, domain: C11Set):
     return x0
 
 
-def _count(value, name: str, lo: int) -> int:
-    """``value`` if it is an integer >= lo, else a config error naming it."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo:
-        raise ConfigError(f"{name} must be an integer >= {lo}, got {value!r}")
-    return value
+_GRID_SIZES = ("points_per_decade", "nodes_per_component", "checker_grid", "three_g_triples")
+
+
+def _check_shape(cfg, args) -> None:
+    """Refuse a non-object config or section, sizes below 1 and seeds below 0, for any command."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"the config must be a JSON object, got {type(cfg).__name__}")
+    for name in ("grid", "mc"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"the {name} section must be a JSON object")
+    counts = [(f"grid.{k}", v, 1) for k, v in cfg.get("grid", {}).items() if k in _GRID_SIZES]
+    counts += [("mc.seed", cfg.get("mc", {}).get("seed", 0), 0),
+               ("--grid", 1 if args.grid is None else args.grid, 1),
+               ("--seed", 0 if args.seed is None else args.seed, 0)]
+    for name, value, lo in counts:
+        if isinstance(value, bool) or not isinstance(value, int) or value < lo:
+            raise ConfigError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 def _size(cfg: dict, key: str, default: int, flag: int | None = None) -> int:
     """The grid size ``grid.<key>``, or the ``--grid`` flag when it is given."""
-    if flag is not None:
-        return _count(flag, "--grid", 1)
-    return _count(cfg.get("grid", {}).get(key, default), f"grid.{key}", 1)
+    return cfg.get("grid", {}).get(key, default) if flag is None else flag
 
 
 def _seed(cfg: dict, args) -> int:
     """The ``--seed`` flag when it is given, else ``mc.seed``."""
-    if args.seed is not None:
-        return _count(args.seed, "--seed", 0)
-    return _count(cfg.get("mc", {}).get("seed", 0), "mc.seed", 0)
+    return cfg.get("mc", {}).get("seed", 0) if args.seed is None else args.seed
 
 
 def _meta(digest: str, **extra) -> dict:
@@ -124,10 +134,6 @@ def _json_default(obj):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -383,6 +389,7 @@ def main(argv=None) -> int:
 
     try:
         cfg, digest = _load_config(args.config)
+        _check_shape(cfg, args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, digest, out, args)

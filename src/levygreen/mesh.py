@@ -42,12 +42,14 @@ def graded_panels(a: float, b: float, n_nodes: int, grading: float = 2.0,
     if grading < 1.0:
         raise ValueError("grading exponent must be >= 1")
     n_panels = max(2, int(np.ceil(n_nodes / order)))
-    breaks = graded_breaks(a, b, np.linspace(0.0, 1.0, n_panels + 1), grading)
+    return _composite(graded_breaks(a, b, np.linspace(0.0, 1.0, n_panels + 1), grading), order)
+
+
+def _composite(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The order-point Gauss rule on each panel between consecutive edges, in order."""
     xr, wr = panel_rule(order)
-    left, width = breaks[:-1], np.diff(breaks)
-    nodes = (left[:, None] + width[:, None] * xr[None, :]).ravel()
-    weights = (width[:, None] * wr[None, :]).ravel()
-    return nodes, weights
+    left, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (left + width * xr).ravel(), (width * wr).ravel()
 
 
 def graded_components(intervals, n_per_component: int,
@@ -88,12 +90,8 @@ def power_panels(a: float, b: float, exponent: float, n_nodes: int, order: int =
     if length <= 0:
         raise ValueError("interval must have positive length")
     n_panels = max(2, int(np.ceil(n_nodes / order)))
-    v_edges = np.linspace(0.0, length ** (1.0 / exponent), n_panels + 1)
-    xr, wr = panel_rule(order)
-    vleft, vwidth = v_edges[:-1], np.diff(v_edges)
-    v = (vleft[:, None] + vwidth[:, None] * xr[None, :]).ravel()
-    jac = exponent * v ** (exponent - 1.0)
-    w = jac * (vwidth[:, None] * wr[None, :]).ravel()
+    v, vw = _composite(np.linspace(0.0, length ** (1.0 / exponent), n_panels + 1), order)
+    w = exponent * v ** (exponent - 1.0) * vw
     s = v ** exponent
     if singular_end == "left":
         return a + s, w

@@ -145,6 +145,7 @@ def custom_model(nu: Callable, psi: Callable | None = None) -> LevyModel:
 
     The caller must supply a nonincreasing ``nu`` (a unimodal process); it is
     not checked.  The config families are nonincreasing by construction.
+    The default symbol needs a continuous ``nu`` (see :func:`_psi_by_quadrature`).
     """
     if psi is None:
         def psi(xi):
@@ -238,8 +239,9 @@ def _psi_by_quadrature(nu: Callable, x: float) -> float:
 
     Rescaled to unit frequency, 2 int_0^inf (1 - cos u) nu(u/x)/x du, so the
     Fourier tail always starts at u = 10 with unit wavenumber, and summed by
-    :func:`_unit_frequency`.  Its dyadic head does not miss a density whose
-    support lies close to u = 0.
+    :func:`_unit_frequency`.  nu must be continuous: a jump in nu, such as
+    the cutoff of ``truncated_stable_model``, can fall inside one shell or
+    the Fourier tail and be missed (relative errors up to 7e-4 seen).
     """
     if x == 0.0:
         return 0.0

@@ -284,24 +284,26 @@ def _is_zero_drift(b: Callable) -> bool:
         not np.any(np.asarray(b(np.zeros(1)), dtype=float))
 
 
-def _run_chunks(config: PathConfig, n_bins: int, track_occupation: bool, walk_chunk):
+def _run_chunks(config: PathConfig, bins: BinGrid, track_occupation: bool, engine: str,
+                walk_chunk) -> ExitSample:
     """Chunked driver shared by both engines: split seeds, per-path arrays, bin sums.
 
     ``walk_chunk(m, rng, occ_chunk)`` simulates m paths, adds their per-bin
     times to occ_chunk (None when occupation is not tracked) and returns
-    (tau, exit_pos, censored) of the chunk.
+    (tau, exit_pos, censored) of the chunk.  The chunks make one
+    ``ExitSample`` of the named engine.
     """
     n_total = config.n_paths
     tau = np.empty(n_total)
     exit_pos = np.empty(n_total)
-    occ = np.zeros(n_bins)
-    occ_sq = np.zeros(n_bins)
+    occ = np.zeros(bins.n_bins)
+    occ_sq = np.zeros(bins.n_bins)
     censored = 0
     chunks = np.array_split(np.arange(n_total), max(1, n_total // _CHUNK))
     seeds = np.random.SeedSequence(config.seed).spawn(len(chunks))
     for chunk_idx, seed in zip(chunks, seeds):
         m = len(chunk_idx)
-        occ_chunk = np.zeros((m, n_bins)) if track_occupation else None
+        occ_chunk = np.zeros((m, bins.n_bins)) if track_occupation else None
         ctau, cpos, ccens = walk_chunk(m, np.random.default_rng(seed), occ_chunk)
         tau[chunk_idx] = ctau
         exit_pos[chunk_idx] = cpos
@@ -309,7 +311,7 @@ def _run_chunks(config: PathConfig, n_bins: int, track_occupation: bool, walk_ch
         if track_occupation:
             occ += occ_chunk.sum(axis=0)
             occ_sq += (occ_chunk ** 2).sum(axis=0)
-    return tau, exit_pos, occ, occ_sq, censored
+    return ExitSample(tau, exit_pos, occ, occ_sq, bins, n_total, censored, engine)
 
 
 def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
@@ -377,9 +379,7 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
                 slot = slot[keep[inside]]
         return ctau, cpos, censored
 
-    tau, exit_pos, occ, occ_sq, censored = _run_chunks(
-        config, bins.n_bins, track_occupation, walk_chunk)
-    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, censored, "euler")
+    return _run_chunks(config, bins, track_occupation, "euler", walk_chunk)
 
 
 _MAX_SWEEPS = 10_000     # a walk still inside after this many balls is an error
@@ -439,19 +439,14 @@ def _walk_on_spheres(alpha: float, D: C11Set, x0: float, config: PathConfig,
         raise RuntimeError(f"{len(alive)} walks still inside the domain after "
                            f"{_MAX_SWEEPS} balls")
 
-    tau, exit_pos, occ, occ_sq, _ = _run_chunks(
-        config, bins.n_bins, track_occupation, walk_chunk)
-    return ExitSample(tau, exit_pos, occ, occ_sq, bins, config.n_paths, 0, "walk-on-spheres")
+    return _run_chunks(config, bins, track_occupation, "walk-on-spheres", walk_chunk)
 
 
 def _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass) -> None:
-    """Add each ball's expected time in every bin, one bin edge at a time."""
+    """Add each ball's expected time in every bin, all edges of a component at once."""
     for e, off in zip(bins.edges, bins.offsets):
-        prev = stable.center_occupation(alpha, (e[0] - x) / r)
-        for j in range(1, len(e)):
-            cur = stable.center_occupation(alpha, (e[j] - x) / r)
-            occ_chunk[alive, off + j - 1] += mass * (cur - prev)
-            prev = cur
+        phi = stable.center_occupation(alpha, (e - x[:, None]) / r[:, None])
+        occ_chunk[alive, off:off + len(e) - 1] += mass[:, None] * np.diff(phi, axis=1)
 
 
 def mc_mean_exit_time(model: LevyModel, b: Callable, D: C11Set, x0: float,

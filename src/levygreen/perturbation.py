@@ -8,10 +8,11 @@ source variable:
 Discretized on a boundary-graded grid this is one dense linear system per
 source row, all sharing the operator I - B with
 ``B[z, y] = w_z b(z) dG(z, y)``.  The derivative kernel carries an
-integrable power singularity at z = y; its local model is the derivative of
-the compensated kernel, which integrates in closed form, so the diagonal of
-B absorbs the difference between the exact singular integral and what the
-plain weights would have produced.
+integrable power singularity at z = y; its local model S is the derivative
+of the compensated kernel, which integrates in closed form.  ``_operator``
+alone builds S and the diagonal of B: the bounded remainder dG - S, read
+from the neighbouring nodes, plus the difference between the exact singular
+integral and what the plain weights would have produced.
 
 One solve: a direct dense LU solve of Gt (I - B) = G.  It needs I - B
 invertible, not the contraction (discrete interaction bound kappa below
@@ -77,24 +78,12 @@ def build_grid(domain: C11Set, n_per_component: int = 200,
                                                        max(2.0, 2.0 / alpha)))
 
 
-def _singular_model(grid: NystromGrid, alpha: float) -> np.ndarray:
-    """Local singular model of dG: [j, k] is -dK(z_j - z_k) within a component, else 0."""
-    z, cid = grid.nodes, grid.comp_id
-    gap = z[:, None] - z[None, :]
-    keep = (cid[:, None] == cid[None, :]) & (gap != 0.0)
-    c_s = (alpha - 1.0) * stable.kernel_at_one(alpha)
-    out = np.zeros_like(gap)
-    out[keep] = -np.sign(gap[keep]) * c_s * np.abs(gap[keep]) ** (alpha - 2.0)
-    return out
-
-
 def discretize_green(G: GreenFunction, grid: NystromGrid) -> tuple[np.ndarray, np.ndarray]:
     """Green matrix and derivative matrix on grid x grid.
 
     The diagonal of the Green matrix is the (finite) diagonal value.  The
-    derivative kernel has no diagonal value; its diagonal entries hold the
-    bounded remainder after subtracting the local singular model, estimated
-    from the neighboring nodes, which is what the operator assembly needs.
+    derivative kernel has no diagonal value, so the derivative matrix holds
+    0 there; :func:`_operator` supplies the diagonal of the operator.
     """
     z = grid.nodes
     if len(np.unique(z)) != len(z):
@@ -106,34 +95,35 @@ def discretize_green(G: GreenFunction, grid: NystromGrid) -> tuple[np.ndarray, n
     dG = np.zeros((n, n))
     Zi, Zj = np.broadcast_arrays(z[:, None], z[None, :])
     dG[off] = np.asarray(G.grad_x(Zi[off], Zj[off]), dtype=float)
-
-    # bounded remainder dG(z, y) + dK(z - y) at z = y, from adjacent nodes; at
-    # spacing h = z[k + 1] - z[k] the singular model is c_s h^(alpha - 2) at
-    # [k, k + 1] and minus that at [k + 1, k]
-    alpha = stable_index(G.model)
-    m = (alpha - 1.0) * stable.kernel_at_one(alpha) * np.diff(z) ** (alpha - 2.0)
-    same = grid.comp_id[1:] == grid.comp_id[:-1]       # nodes k and k + 1
-    from_above = np.where(same, np.diagonal(dG, 1) - m, 0.0)
-    from_below = np.where(same, np.diagonal(dG, -1) + m, 0.0)
-    np.fill_diagonal(dG, (np.r_[0.0, from_above] + np.r_[from_below, 0.0])
-                     / (np.r_[0, same] + np.r_[same, 0]))
     return Gmat, dG
 
 
 def _operator(G: GreenFunction, b: Callable, grid: NystromGrid, dG: np.ndarray) -> np.ndarray:
-    """Weighted interaction operator B with singularity-corrected diagonal."""
+    """Weighted interaction operator B with singularity-corrected diagonal.
+
+    S[j, k] = -dK(z_j - z_k) within a component, else 0, is the local model
+    of dG.  B[k, k] is b(z_k) (w_k rem_k + int S(z, z_k) dz - sum_j w_j S[j, k]):
+    rem_k, the bounded dG - S at z_k, is its mean at the node's neighbours
+    in the component, and the integral over the component is closed-form.
+    """
     z, w, cid = grid.nodes, grid.weights, grid.comp_id
     alpha = stable_index(G.model)
     bz = np.asarray(b(z), dtype=float)
 
+    gap = z[:, None] - z[None, :]
+    keep = (cid[:, None] == cid[None, :]) & (gap != 0.0)
+    k1 = stable.kernel_at_one(alpha)
+    S = np.zeros_like(gap)
+    S[keep] = -np.sign(gap[keep]) * ((alpha - 1.0) * k1) * np.abs(gap[keep]) ** (alpha - 2.0)
+    same = cid[1:] == cid[:-1]       # nodes k and k + 1
+    from_above = np.where(same, np.diagonal(dG, 1) - np.diagonal(S, 1), 0.0)
+    from_below = np.where(same, np.diagonal(dG, -1) - np.diagonal(S, -1), 0.0)
+    rem = (np.r_[0.0, from_above] + np.r_[from_below, 0.0]) / (np.r_[0, same] + np.r_[same, 0])
+
     B = w[:, None] * bz[:, None] * dG
-    # diagonal: w_k rem_k plus the closed-form integral of the singular model
-    # over the node's component minus what the plain weights assign to it
     ends = np.asarray(grid.domain.intervals, dtype=float)[cid]
-    mint = -stable.kernel_at_one(alpha) * ((ends[:, 1] - z) ** (alpha - 1.0)
-                                          - (z - ends[:, 0]) ** (alpha - 1.0))
-    corr = mint - w @ _singular_model(grid, alpha)
-    np.fill_diagonal(B, bz * (w * np.diagonal(dG) + corr))
+    mint = -k1 * ((ends[:, 1] - z) ** (alpha - 1.0) - (z - ends[:, 0]) ** (alpha - 1.0))
+    np.fill_diagonal(B, bz * (w * rem + (mint - w @ S)))
     return B
 
 

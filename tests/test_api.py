@@ -181,7 +181,7 @@ REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac", "smal
                   ("perturbation", "PerturbedGreen"): ["operator", "mode", "converged", "trace"],
                   ("perturbation", "ComparabilityReport"): ["mode", "converged"],
                   ("green", "GreenFunction"): ["kind"],
-                  ("green", "TripleStat"): ["seed"],
+                  ("green", "TripleStat"): ["seed", "argmax"],
                   ("models", "ScalingReport"): ["c_low", "C_high", "c_low_1", "theta_min",
                                                 "theta_max", "n_grid", "ok", "reason"]}
 REMOVED_NAMES = {"green": ["envelope_green", "green_punctured_line", "gradient_tail_integrals"],

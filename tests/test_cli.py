@@ -220,6 +220,19 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("mc", {"model": {"family": "stable-mixture", "alphas": [1.2, 1.8],
                       "weights": [1, 10 ** 400]}}),
     ("mc", {"domain": {"intervals": [[-1, 10 ** 400]]}}),
+    # refused before dispatch, whichever command runs
+    ("kernels", [SMALL_CFG]),
+    ("mc", None),
+    ("kernels", {"grid": 5}),
+    ("perturb", {"grid": 5}),
+    ("mc", {"mc": [1]}),
+    ("green", {"mc": [1]}),
+    ("kato", {"grid": {"points_per_decade": 0}}),
+    ("green", {"grid": {"nodes_per_component": -3}}),
+    ("kato", {"mc": {"seed": -1}}),
+    ("perturb", {"mc": {"seed": 1.5}}),
+    ("kato --grid 0", {}),
+    ("perturb --seed -1", {}),
 ], ids=["mc-source-outside", "green-source-outside", "report-source-outside",
         "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
         "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
@@ -232,14 +245,21 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
         "kato-sublinear-mixture", "kernels-near-one-mixture", "kato-near-one-mixture",
         "kato-drift-nan", "mc-mixture-weight-infinite", "perturb-endpoint-nan",
         "perturb-drift-nan", "mc-source-int-overflow", "mc-drift-int-overflow",
-        "mc-mixture-weight-int-overflow", "mc-endpoint-int-overflow"])
+        "mc-mixture-weight-int-overflow", "mc-endpoint-int-overflow",
+        "kernels-config-list", "mc-config-null", "kernels-grid-not-object",
+        "perturb-grid-not-object", "mc-mc-not-object", "green-mc-not-object",
+        "kato-points-per-decade-zero", "green-nodes-negative", "kato-mc-seed-negative",
+        "perturb-mc-seed-fraction", "kato-grid-flag-zero", "perturb-seed-flag-negative"])
 def test_config_errors_exit_2_before_writing(tmp_path, capsys, command, patch):
+    # a patch that is not a dict is the whole config
     p = tmp_path / "c.json"
-    p.write_text(json.dumps(dict(SMALL_CFG, **patch)))
+    p.write_text(json.dumps(dict(SMALL_CFG, **patch) if isinstance(patch, dict) else patch))
     out = tmp_path / "out"
     assert main([*command.split(), "--config", str(p), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists() or not any(out.iterdir())
+    if not isinstance(patch, dict):     # refused before the output directory is made
+        assert not out.exists()
 
 
 def test_overflowing_config_number_is_a_config_error(tmp_path, capsys):

@@ -155,7 +155,7 @@ def _euler_two_lookups(model, b, D, x0, config):
             x = x_new[keep]
         return ctau, cpos, censored
 
-    return mc._run_chunks(config, bins.n_bins, True, walk_chunk)
+    return mc._run_chunks(config, bins, True, "euler", walk_chunk)
 
 
 @pytest.mark.parametrize("case", ["drift", "time-cap"])
@@ -169,12 +169,11 @@ def test_euler_sample_matches_two_lookup_loop(stable15, monkeypatch, case):
         cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=22, bin_width=0.1)
         monkeypatch.setattr(mc, "_CAP_FACTOR", 0.05)    # a cap of 0.05 on (-1, 1)
     s = mc._euler_exit(stable15, b, D, x0, cfg)
-    tau, exit_pos, occ, occ_sq, censored = _euler_two_lookups(stable15, b, D, x0, cfg)
-    assert (case == "time-cap") == (censored > 0)
-    assert s.censored == censored
-    for new, old in ((s.tau, tau), (s.exit_pos, exit_pos), (s.occupation, occ),
-                     (s.occupation_sq, occ_sq)):
-        assert new.tobytes() == old.tobytes()
+    ref = _euler_two_lookups(stable15, b, D, x0, cfg)
+    assert (case == "time-cap") == (ref.censored > 0)
+    assert s.censored == ref.censored
+    for name in ("tau", "exit_pos", "occupation", "occupation_sq"):
+        assert getattr(s, name).tobytes() == getattr(ref, name).tobytes()
 
 
 def test_one_component_mixture_draws_the_stable_paths(stable15, monkeypatch):

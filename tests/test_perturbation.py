@@ -56,6 +56,61 @@ def test_derivative_matrix_reflection_antisymmetry(grid200, disc200):
     assert np.max(np.abs(dG - flipped)[off]) < 1e-10
 
 
+def test_derivative_matrix_has_zero_diagonal(disc200):
+    # the derivative kernel has no diagonal value; _operator supplies B's diagonal
+    _, dG = disc200
+    assert not np.any(np.diagonal(dG))
+
+
+def _operator_oracle(G, b, grid):
+    """The Nystrom operator by the three-step rule it replaced.
+
+    The diagonal of dG is the neighbour-averaged remainder against the
+    spacing model m = (alpha - 1) K(1) h^(alpha - 2); the singular model is
+    built again as a matrix; the closed-form correction is added last.
+    """
+    z, w, cid = grid.nodes, grid.weights, grid.comp_id
+    alpha = G.model.alpha
+    _, dG = pert.discretize_green(G, grid)
+    m = (alpha - 1.0) * stable.kernel_at_one(alpha) * np.diff(z) ** (alpha - 2.0)
+    same = cid[1:] == cid[:-1]
+    from_above = np.where(same, np.diagonal(dG, 1) - m, 0.0)
+    from_below = np.where(same, np.diagonal(dG, -1) + m, 0.0)
+    np.fill_diagonal(dG, (np.r_[0.0, from_above] + np.r_[from_below, 0.0])
+                     / (np.r_[0, same] + np.r_[same, 0]))
+    gap = z[:, None] - z[None, :]
+    keep = (cid[:, None] == cid[None, :]) & (gap != 0.0)
+    c_s = (alpha - 1.0) * stable.kernel_at_one(alpha)
+    S = np.zeros_like(gap)
+    S[keep] = -np.sign(gap[keep]) * c_s * np.abs(gap[keep]) ** (alpha - 2.0)
+    bz = np.asarray(b(z), dtype=float)
+    B = w[:, None] * bz[:, None] * dG
+    ends = np.asarray(grid.domain.intervals, dtype=float)[cid]
+    mint = -stable.kernel_at_one(alpha) * ((ends[:, 1] - z) ** (alpha - 1.0)
+                                          - (z - ends[:, 0]) ** (alpha - 1.0))
+    corr = mint - w @ S
+    np.fill_diagonal(B, bz * (w * np.diagonal(dG) + corr))
+    return B
+
+
+# the three-interval domain and index of the benchmark's seed-0 op b.perturb
+THREE = interval_union((-1.0, -0.42456375008534586), (-0.1702130258474681, 0.4079455096937472),
+                       (0.6529728946954487, 1.2315469374613244))
+
+
+@pytest.mark.parametrize("case", ["unit-sin", "three-sin", "three-constant"])
+def test_operator_matches_three_step_oracle(oracle15, grid200, case):
+    if case == "unit-sin":
+        G, grid = oracle15, grid200
+    else:
+        alpha = 1.2522949656098399
+        G = green.numeric_table_green(alpha, THREE, nodes_per_component=158)
+        grid = pert.build_grid(THREE, 158, alpha)
+    b = constant_drift(0.987) if case.endswith("constant") else sin_drift(1.0, 5.0)
+    _, dG = pert.discretize_green(G, grid)
+    assert pert._operator(G, b, grid, dG).tobytes() == _operator_oracle(G, b, grid).tobytes()
+
+
 def test_zero_drift_returns_unperturbed(oracle15, grid200):
     pg = pert.solve_perturbed(oracle15, constant_drift(0.0), grid200)
     assert np.array_equal(pg.matrix, pg.unperturbed)
