@@ -101,8 +101,7 @@ def _density_constant_any(alpha: float) -> float:
     # density constant valid on all of (0, 2) except 1, via the reflection identity
     if abs(alpha - 1.0) < 1e-12:
         return 1.0 / math.pi
-    from scipy.special import gamma as _g
-    return -1.0 / (2.0 * _g(-alpha) * math.cos(math.pi * alpha / 2.0))
+    return -1.0 / (2.0 * math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0))
 
 
 def truncated_stable_model(alpha: float, radius: float) -> LevyModel:

@@ -45,7 +45,7 @@ Green function), and the exit law; ``ks_distance`` measures exit positions
 against a reference CDF such as a quadrature exit density's.  Both engines
 run chunks of ``_CHUNK`` paths with split seeds, so runs are reproducible
 bit for bit for a fixed seed.
-This module imports no scipy module.
+This module imports no scipy module, and neither does anything it imports.
 """
 
 from __future__ import annotations
@@ -417,7 +417,7 @@ def _walk_on_spheres(alpha: float, D: C11Set, x0: float, config: PathConfig,
             mass = r ** alpha
             t_acc[alive] += c * mass
             if occ_chunk is not None:
-                _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass)
+                _add_ball_occupation(occ_chunk, alive, alpha, bins, comp, x, r, mass)
             # overshoot r (1/sqrt(Q) - 1) beyond the ball, with Q = g / (g + h)
             # for g ~ Gamma(a), h ~ Gamma(1 - a): exact even where Q rounds to 1
             g = rng.standard_gamma(a, len(x))
@@ -442,11 +442,15 @@ def _walk_on_spheres(alpha: float, D: C11Set, x0: float, config: PathConfig,
     return _run_chunks(config, bins, track_occupation, "walk-on-spheres", walk_chunk)
 
 
-def _add_ball_occupation(occ_chunk, alive, alpha, bins, x, r, mass) -> None:
-    """Add each ball's expected time in every bin, all edges of a component at once."""
-    for e, off in zip(bins.edges, bins.offsets):
-        phi = stable.center_occupation(alpha, (e - x[:, None]) / r[:, None])
-        occ_chunk[alive, off:off + len(e) - 1] += mass[:, None] * np.diff(phi, axis=1)
+def _add_ball_occupation(occ_chunk, alive, alpha, bins, comp, x, r, mass) -> None:
+    """Add each ball's expected time in every bin of its component, all edges at once.
+
+    A ball never leaves its component, so the bins of the others get exactly 0.
+    """
+    for i, (e, off) in enumerate(zip(bins.edges, bins.offsets)):
+        mine = comp == i
+        phi = stable.center_occupation(alpha, (e - x[mine, None]) / r[mine, None])
+        occ_chunk[alive[mine], off:off + len(e) - 1] += mass[mine, None] * np.diff(phi, axis=1)
 
 
 def mc_mean_exit_time(model: LevyModel, b: Callable, D: C11Set, x0: float,

@@ -11,12 +11,25 @@ All interval formulas reduce affinely to the unit interval (-1, 1).  The
 Green function scales like ``R**(alpha-1)``, its gradient like
 ``R**(alpha-2)``, and the Poisson kernel is scale free in the sense that it
 stays a probability density in the exit position.
+
+Two factors are Gauss hypergeometric functions: the incomplete factor of
+the Green function and the centred occupation that each walk-on-spheres
+ball adds.  The Pfaff transformation and the connection formula in
+1/(1-z) turn each into two power series, split so that the argument never
+exceeds 1/2, with coefficients from the hypergeometric term ratios.  Per
+alpha, these are cut by Chebyshev economisation to 13-23 terms and
+cached; Horner's rule evaluates them.  The error is a few 1e-15, growing
+like 1e-15 / (alpha - 1) where the connection formula's two terms cancel
+(see ``_incomplete_factor`` and ``center_occupation``).  Scalar constants
+use ``math.gamma``; the module imports nothing from scipy.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
-from scipy.special import beta, betainc, gamma, hyp2f1
 
 __all__ = [
     "levy_density_constant",
@@ -44,7 +57,7 @@ def levy_density_constant(alpha: float) -> float:
     ``2 * C * int_0^inf (1 - cos z) z^(-1-alpha) dz = 1``.
     """
     _check_alpha(alpha)
-    return alpha * (alpha - 1.0) / (2.0 * gamma(2.0 - alpha) * abs(np.cos(np.pi * alpha / 2.0)))
+    return alpha * (alpha - 1.0) / (2.0 * math.gamma(2.0 - alpha) * abs(np.cos(np.pi * alpha / 2.0)))
 
 
 def h_constant(alpha: float) -> float:
@@ -60,13 +73,17 @@ def h_constant(alpha: float) -> float:
 def kernel_at_one(alpha: float) -> float:
     """Value at 1 of the compensated potential kernel, K(x) = K(1)|x|^(alpha-1)."""
     _check_alpha(alpha)
-    return 1.0 / (2.0 * abs(np.cos(np.pi * alpha / 2.0)) * gamma(alpha))
+    return 1.0 / (2.0 * abs(np.cos(np.pi * alpha / 2.0)) * math.gamma(alpha))
 
 
 def exit_time_constant(alpha: float) -> float:
-    """Constant c with E^x tau = c (R^2 - x^2)^(alpha/2) for the interval (-R, R)."""
+    """Constant c with E^x tau = c (R^2 - x^2)^(alpha/2) for the interval (-R, R).
+
+    c = sqrt(pi) / (2^alpha Gamma(1 + alpha/2) Gamma((1 + alpha)/2)), which the
+    duplication formula turns into 1 / Gamma(1 + alpha).
+    """
     _check_alpha(alpha)
-    return np.sqrt(np.pi) / (2.0 ** alpha * gamma(1.0 + alpha / 2.0) * gamma((1.0 + alpha) / 2.0))
+    return 1.0 / math.gamma(1.0 + alpha)
 
 
 def mean_exit_time(alpha: float, interval, x):
@@ -80,14 +97,109 @@ def mean_exit_time(alpha: float, interval, x):
 
 def _green_constant(alpha: float) -> float:
     # prefactor of the hypergeometric interval formula on (-1, 1)
-    return 1.0 / (2.0 ** alpha * gamma(alpha / 2.0) ** 2)
+    return 1.0 / (2.0 ** alpha * math.gamma(alpha / 2.0) ** 2)
+
+
+_TERMS = 60     # Taylor terms: at arguments up to 1/2 each series' tail is below 1e-17
+
+
+def _hyp_coefficients(a, b, c) -> np.ndarray:
+    """The first ``_TERMS`` Taylor coefficients of 2F1(a, b; c; z), from its term ratios."""
+    k = np.arange(_TERMS - 1, dtype=float)
+    return np.concatenate(([1.0], np.cumprod((a + k) * (b + k) / ((c + k) * (1.0 + k)))))
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_bases() -> tuple[np.ndarray, np.ndarray]:
+    """Changes of basis in u = 4z - 1, as two ``_TERMS``-square matrices.
+
+    Column k of the first holds the Chebyshev coefficients of z^k, column j
+    of the second the monomial coefficients of the Chebyshev polynomial T_j.
+    """
+    shift = np.eye(_TERMS, k=-1)            # times u, on monomial coefficients
+    times_u = (shift + shift.T) / 2.0       # on Chebyshev ones: u T_j = (T_j-1 + T_j+1) / 2
+    times_u[1, 0] = 1.0                     # u T_0 = T_1
+    to_cheb, to_mono = np.eye(_TERMS), np.eye(_TERMS)
+    for k in range(1, _TERMS):              # z^k = z^(k-1) (u + 1) / 4
+        to_cheb[:, k] = (times_u @ to_cheb[:, k - 1] + to_cheb[:, k - 1]) / 4.0
+    for j in range(2, _TERMS):              # T_j = 2u T_j-1 - T_j-2
+        to_mono[:, j] = 2.0 * shift @ to_mono[:, j - 1] - to_mono[:, j - 2]
+    return to_cheb, to_mono
+
+
+def _economised(taylor: np.ndarray) -> np.ndarray:
+    """A Taylor polynomial on [0, 1/2] as a shorter polynomial in z - 1/4.
+
+    The series here converge for |z| < 1, so their Chebyshev coefficients on
+    [0, 1/2] fall like (3 + sqrt(8))^-n; those below 2^-56 of the largest are
+    dropped, which leaves 13 to 23 of the 60 Taylor terms.  About z = 1/4
+    the functions converge in a disc of radius 3/4, so the terms of the
+    monomial form fall like 3^-k on [0, 1/2] and Horner's rule is stable.
+    """
+    to_cheb, to_mono = _chebyshev_bases()
+    cheb = to_cheb[:, :len(taylor)] @ taylor
+    keep = np.flatnonzero(np.abs(cheb) > 2.0 ** -56 * np.abs(cheb).max())[-1] + 1
+    return to_mono[:keep, :keep] @ cheb[:keep] * 4.0 ** np.arange(keep)     # u = 4 (z - 1/4)
+
+
+@lru_cache(maxsize=64)
+def _series(alpha: float):
+    """Per-alpha polynomials of the incomplete factor and of the centred occupation.
+
+    With a = alpha/2 they approximate, for z in [0, 1/2] and as polynomials
+    in z - 1/4 (``_economised``):
+    near = 2F1(1/2, 1; a+1; z) / a and far = 2F1(1/2, 1; 3/2-a; z) / (a - 1/2)
+    for ``_incomplete_factor``; P = (1-z)^a far + 2 2F1(1/2, 1-a; 3/2; z) and
+    R = [2F1(1/2, 1; a+1; z) - 2F1(1, a+1/2; a+1; z)] / (a z) for
+    ``center_occupation``.  The last entry is the constant
+    Gamma(a) Gamma(1/2-a) / sqrt(pi) that the connection formula adds.
+    """
+    a = alpha / 2.0
+    base = _hyp_coefficients(0.5, 1.0, a + 1.0)
+    far = _hyp_coefficients(0.5, 1.0, 1.5 - a) / (a - 0.5)
+    binomial = _hyp_coefficients(-a, 1.0, 1.0)       # (1 - z)^a
+    P = np.convolve(binomial, far)[:_TERMS] + 2.0 * _hyp_coefficients(0.5, 1.0 - a, 1.5)
+    R = (base - _hyp_coefficients(1.0, a + 0.5, a + 1.0))[1:] / a
+    return (*map(_economised, (base / a, far, P, R)),
+            math.gamma(a) * math.gamma(0.5 - a) / math.sqrt(math.pi))
+
+
+def _horner(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The polynomial sum_k c[k] u^k at u = z - 1/4, in place on one work array."""
+    u = z - 0.25
+    acc = c[-1] * u
+    for ck in c[-2:0:-1]:
+        acc += ck
+        acc *= u
+    acc += c[0]
+    return acc
 
 
 def _incomplete_factor(alpha: float, w):
-    """int_0^w u^(alpha/2-1) (1+u)^(-1/2) du via a Gauss hypergeometric evaluation."""
+    """int_0^w u^(a-1) (1+u)^(-1/2) du = w^a/a 2F1(1/2, a; a+1; -w), a = alpha/2.
+
+    Split at w = 1 into two polynomials in an argument of at most 1/2
+    (``_series``).  For w <= 1 the Pfaff transformation (Abramowitz-Stegun
+    15.3.4) gives w^a/a (1+w)^(-1/2) 2F1(1/2, 1; a+1; s) in s = w/(1+w).
+    For w > 1 the connection formula in 1/(1-z) (15.3.8) gives
+    Gamma(a) Gamma(1/2-a)/sqrt(pi) + w^a q^(1/2) 2F1(1/2, 1; 3/2-a; q)/(a-1/2)
+    in q = 1/(1+w), two terms that cancel by a factor of up to about
+    1.5/(alpha-1) just above w = 1.  Measured against 30-digit arithmetic
+    over w in [1e-8, 1e8], the relative error is at most 9e-14 at alpha
+    1.01, 1.2e-14 at alpha 1.1, 6e-15 at 1.15 and 2e-15 at 1.5, about what
+    ``scipy.special.hyp2f1`` achieves (1.1e-14 at alpha 1.1).
+    """
+    near, far, _, _, offset = _series(alpha)
     a = alpha / 2.0
     w = np.asarray(w, dtype=float)
-    return w ** a / a * hyp2f1(0.5, a, a + 1.0, -w)
+    out = np.empty(w.shape)
+    small = w <= 1.0
+    ws = w[small]
+    out[small] = ws ** a * _horner(near, ws / (1.0 + ws)) / np.sqrt(1.0 + ws)
+    wl = w[~small]
+    q = 1.0 / (1.0 + wl)
+    out[~small] = offset + wl ** a * np.sqrt(q) * _horner(far, q)
+    return out
 
 
 def center_occupation(alpha: float, s):
@@ -96,27 +208,40 @@ def center_occupation(alpha: float, s):
     The antiderivative of y -> G(0, y) on the unit interval, vectorized in s:
     0 for s <= -1, ``exit_time_constant`` for s >= 1, and in between
     F(1) + sign(s) F(|s|) with the closed form
-    F(s) = (B / alpha) [s^alpha I(1/s^2 - 1) + Beta(1/2, a) I_{s^2}(1/2, a)],
+    F(t) = (B / alpha) [t^alpha I(1/t^2 - 1) + Beta(1/2, a) I_{t^2}(1/2, a)],
     a = alpha/2, I the incomplete factor of the Green function and I_x the
-    regularized incomplete beta function.  The factor s^alpha I(1/s^2 - 1)
-    is evaluated as (1-s^2)^a hyp2f1(1/2, a; a+1; -w) / a, which neither
-    overflows nor cancels at small s.
+    regularized incomplete beta function.  With x = t^2 it is split at
+    x = 1/2 into two polynomials in an argument of at most 1/2 (``_series``):
+    for x <= 1/2, by the connection formula in 1/(1-z) (Abramowitz-Stegun
+    15.3.8) and the incomplete beta series,
+    F(t) = (B / alpha) [t P(x) + Gamma(a) Gamma(1/2-a)/sqrt(pi) t^alpha];
+    for y = 1 - x < 1/2, by the Pfaff transformation (15.3.4) and the series
+    of the complementary incomplete beta function,
+    F(t) = F(1) + (B / alpha) t y^(a+1) R(y), where F(1) = (B / alpha)
+    Beta(1/2, a) is ``exit_time_constant`` / 2.  Against the ``hyp2f1``
+    and ``betainc`` expression the error is at most 3.4e-15 times
+    ``exit_time_constant`` for alpha in [1.1, 2) and 3.6e-14 times it at
+    alpha 1.01; against 40-digit arithmetic it is about 1e-15 times it at
+    alpha 1.1 and 2e-14 at alpha 1.01.
     """
     _check_alpha(alpha)
     s = np.asarray(s, dtype=float)
     total = exit_time_constant(alpha)
-    out = np.where(s >= 1.0, total, 0.0)
-    inner = np.abs(s) < 1.0
-    if np.any(inner):
-        a = alpha / 2.0
-        t = np.abs(s[inner])
-        one_minus_sq = (1.0 - t) * (1.0 + t)
-        with np.errstate(divide="ignore"):     # t == 0 gives w = inf and F = 0
-            w = one_minus_sq / t ** 2
-        F = _green_constant(alpha) / alpha * (
-            one_minus_sq ** a / a * hyp2f1(0.5, a, a + 1.0, -w)
-            + beta(0.5, a) * betainc(0.5, a, t ** 2))
-        out[inner] = 0.5 * total + np.sign(s[inner]) * np.where(t > 0.0, F, 0.0)
+    out = np.where(s > 0.0, total, 0.0)        # F(1) + sign(s) F(1), the far side's base
+    _, _, P, R, offset = _series(alpha)
+    scale = _green_constant(alpha) / alpha
+    flat, res = s.ravel(), out.ravel()
+    t = np.abs(flat)
+    near = np.flatnonzero(t <= math.sqrt(0.5))
+    far = np.flatnonzero((t > math.sqrt(0.5)) & (t < 1.0))
+    tn = t[near]
+    xn = tn * tn
+    res[near] = 0.5 * total + np.sign(flat[near]) * scale * (
+        tn * _horner(P, xn) + offset * xn ** (alpha / 2.0))
+    # the far side adds F(|s|) - F(1) to its base apart, so s near -1 keeps its digits
+    tf = t[far]
+    y = (1.0 - tf) * (1.0 + tf)
+    res[far] += np.sign(flat[far]) * scale * tf * y ** (alpha / 2.0 + 1.0) * _horner(R, y)
     return out if out.ndim else float(out)
 
 

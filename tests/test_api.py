@@ -291,16 +291,19 @@ def test_only_the_unit_frequency_integrator_runs_qawf():
 
 
 # scipy modules that only the kernel tables, the Green solves and the
-# quadrature oracles need; each is imported inside the function that uses it
-HEAVY = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize"]
+# quadrature oracles need; each is imported inside the function that uses it,
+# and no levygreen module needs scipy.special
+HEAVY = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.special"]
 COLD_START = """
 import json, sys
 loaded = lambda: [m for m in sys.argv[1:] if m in sys.modules]
 import levygreen, levygreen.cli
-seen = {"import": loaded()}
+seen = {"import": loaded(), "scipy after mc": None}
 for name in ("mc-walk-on-spheres", "mc-euler", "mc-mixture", "perturb"):
     code = levygreen.cli.main([name.split("-")[0], "--config", name + ".json", "--out", name])
     seen[name] = loaded() if code == 0 else code
+    if name == "mc-mixture":
+        seen["scipy after mc"] = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps(seen))
 """
 
@@ -324,8 +327,8 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"import": [], "mc-walk-on-spheres": [], "mc-euler": [], "mc-mixture": [],
-                    "perturb": ["scipy.linalg"]}
+    assert seen == {"import": [], "scipy after mc": [], "mc-walk-on-spheres": [], "mc-euler": [],
+                    "mc-mixture": [], "perturb": ["scipy.linalg"]}
     for name, engine in (("mc-walk-on-spheres", "walk-on-spheres"), ("mc-euler", "euler"),
                          ("mc-mixture", "euler")):
         assert json.loads((tmp_path / name / "mc_estimates.json").read_text())["engine"] == engine

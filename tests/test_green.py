@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import betainc
+from scipy.special import beta, betainc, hyp2f1
 
 from levygreen import green, kernels, models, stable
 from levygreen.geometry import delta, interval_union
@@ -64,6 +64,41 @@ def test_center_occupation_matches_quadrature(alpha):
         assert abs(0.5 * c - stable.center_occupation(alpha, -s) - ref) <= 1e-12
     assert stable.center_occupation(alpha, [-3.0, -1.0, 0.0, 1.0, 3.0]) == \
         pytest.approx([0.0, 0.0, 0.5 * c, c, c], abs=1e-16)
+
+
+SERIES_ALPHAS = [1.1, 1.15, 1.3, 1.5, 1.75, 1.9, 1.99]
+
+
+def _around(*points):
+    return [q for p in points for q in (np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf))]
+
+
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_incomplete_factor_series_matches_hyp2f1(alpha):
+    a = alpha / 2.0
+    w = np.concatenate([np.geomspace(1e-8, 1e8, 20001), _around(1.0)])
+    ref = w ** a / a * hyp2f1(0.5, a, a + 1.0, -w)
+    assert np.max(np.abs(stable._incomplete_factor(alpha, w) / ref - 1.0)) <= 2e-14
+
+
+@pytest.mark.parametrize("alpha", SERIES_ALPHAS)
+def test_center_occupation_series_matches_incomplete_beta(alpha):
+    # the closed form through scipy.special that the per-alpha series replace
+    a, total = alpha / 2.0, stable.exit_time_constant(alpha)
+    s = np.concatenate([np.linspace(-1.0, 1.0, 20001), _around(0.0, 2 ** -0.5, -2 ** -0.5),
+                        [1.0 - 1e-15, -1.0 + 1e-15]])
+    t = np.abs(s[np.abs(s) < 1.0])
+    y = (1.0 - t) * (1.0 + t)
+    with np.errstate(divide="ignore"):
+        F = np.where(t > 0.0, stable._green_constant(alpha) / alpha * (
+            y ** a / a * hyp2f1(0.5, a, a + 1.0, -y / t ** 2)
+            + beta(0.5, a) * betainc(0.5, a, t ** 2)), 0.0)
+    ref = np.where(s >= 1.0, total, 0.0)
+    ref[np.abs(s) < 1.0] = 0.5 * total + np.sign(s[np.abs(s) < 1.0]) * F
+    assert np.max(np.abs(stable.center_occupation(alpha, s) - ref)) <= 4e-15 * total
+    # F(1) = (B / alpha) Beta(1/2, a), which the far-side series takes as total / 2
+    F1 = stable._green_constant(alpha) / alpha * beta(0.5, a)
+    assert F1 == pytest.approx(0.5 * total, rel=1e-15, abs=0.0)
 
 
 def test_oracle_domain_monotonicity():
