@@ -4,10 +4,11 @@ Subcommands: kernels | green | perturb | mc | kato | report.  Every output
 file embeds the config hash and the toolkit version; rerunning a command
 with the same config and seed reproduces the numeric content byte for byte
 (single-threaded).  Exit codes: 0 success, 1 check failure, 2 config error,
-raised before any artifact is written; green, perturb and report refuse every
-model family but ``stable`` with 2, mc every family but ``stable`` and
-``stable-mixture`` (the two whose paths it draws exactly), and kernels and
-kato refuse ``truncated-stable`` and any model whose lower scaling exponent
+raised before any artifact is written.  A config names the family
+``stable`` or ``stable-mixture``; any other is unknown, a config error.
+green, perturb and report refuse every family but ``stable`` with 2, since
+only it has the closed forms; mc serves both (it draws their paths
+exactly); kernels and kato refuse any model whose lower scaling exponent
 above frequency one is at most one (``models.require_valid_scaling``), the
 paper's weak lower scaling hypothesis, or whose table quadratures miss
 their target (``kernels.KernelQuadratureError``).  A config number that is
@@ -174,12 +175,6 @@ def _green_for(model, domain, n_nodes):
 
 
 def _table_for(model, domain, points_per_decade):
-    # the truncated-stable symbol is itself a quadrature, which every kernel
-    # quadrature would nest: one table point then takes minutes; so would the
-    # scaling check, which therefore comes second
-    if model.family == "truncated-stable":
-        raise ConfigError("kernel tables need a closed-form symbol, "
-                          "not the quadrature symbol of 'truncated-stable'")
     try:
         models.require_valid_scaling(model)
     except ValueError as exc:

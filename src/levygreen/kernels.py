@@ -13,9 +13,9 @@ split at u = 10: the head goes over dyadic shells, the tail is the
 difference of a smooth integral of 1/psi and a Fourier cosine integral (dK
 likewise, with a sine tail).  ``compute_h``, ``compute_K`` and
 ``compute_dK`` evaluate one point with QUADPACK and are the oracle; K and
-dK take their split from ``models._unit_frequency``, as the quadrature
-symbol does, and its one QAWF call (oscillatory extrapolation) targets
-1e-12 of the rest of the integral, so the target stays relative at every x.
+dK take their split from ``_unit_frequency``, whose one QAWF call
+(oscillatory extrapolation) targets 1e-12 of the rest of the integral, so
+the target stays relative at every x.
 
 A table caches all five kernels on a geometric radius grid and interpolates
 monotonically in log-log coordinates.  ``build_table`` evaluates h, K and dK
@@ -28,16 +28,19 @@ closes each sequence of panel sums, as QUADPACK's QAGS and QAWF do
 whose error estimate misses the 1e-10 relative target is recomputed by the
 oracle.
 
-``scipy.integrate`` (in ``_quad``) and ``scipy.interpolate`` (in
-``KernelTable``) load with the first table or oracle call, not with the
-module.
+``scipy.integrate`` (in ``_quad`` and ``_unit_frequency``) and
+``scipy.interpolate`` (in ``KernelTable``) load with the first table or
+oracle call, not with the module.
 """
 
 from __future__ import annotations
 
+import warnings
+from typing import Callable
+
 import numpy as np
 
-from .models import LevyModel, _dyadic_head, _map_scalar, _unit_frequency
+from .models import LevyModel
 
 __all__ = [
     "KernelQuadratureError",
@@ -55,6 +58,7 @@ _REL_SLACK = 1e-9                   # relative slack of the invariant checks
 _INTERP_SLACK = 1e-6                # extra slack of checks that interpolate the table
 _MAX_PAIRS = 200_000                # pairwise checks sample this many grid pairs at most
 _ORACLE_REL = 1e-8                  # table values against the QUADPACK oracle
+_HEAD_SHELLS = 40                   # dyadic head shells toward 0 before the closing pass
 _PANELS = 40                        # shells or half-periods in each batched panel sequence
 _BLOCK = 32                         # radii per batched evaluation (a few MB of nodes)
 _SPOT_STRIDE = 64                   # off-grid K values per oracle spot check
@@ -74,6 +78,59 @@ def _quad(f, a, b):
     return val, err
 
 
+def _map_scalar(fn: Callable[[float], float], x):
+    """Apply a scalar evaluator elementwise; a scalar argument gives a float."""
+    arr = np.asarray(x, dtype=float)
+    out = np.array([fn(float(t)) for t in np.atleast_1d(arr).ravel()])
+    return out.reshape(arr.shape) if arr.shape else float(out[0])
+
+
+def _dyadic_head(f, top: float):
+    """int_0^top f as dyadic shells top*[2^-(k+1), 2^-k] plus one closing pass.
+
+    Returns the value and the summed error estimate of :func:`_quad`.
+    Shells stop once one adds at most 1e-15 of the running total (after at
+    least five) or after ``_HEAD_SHELLS``; the closing pass on the rest of
+    (0, top) absorbs an integrable power singularity at 0.
+    """
+    total = err = 0.0
+    for k in range(_HEAD_SHELLS):
+        lo = top * 0.5 ** (k + 1)
+        piece, e = _quad(f, lo, top * 0.5 ** k)
+        total += piece
+        err += e
+        if total > 0.0 and piece <= 1e-15 * total and k >= 4:
+            break
+    piece, e = _quad(f, 0.0, lo)
+    return total + piece, err + e
+
+
+def _unit_frequency(g, kind: str):
+    """int_0^inf w(u) g(u) du for w = 1 - cos u (``kind`` "cos") or sin u ("sin").
+
+    The head on (0, 10) goes over dyadic shells (:func:`_dyadic_head`).  For
+    "cos" the rest is the flat tail int_10^inf g, taken as t = 10/u on
+    (0, 1), minus the Fourier tail int_10^inf g cos u; for "sin" it is the
+    Fourier tail int_10^inf g sin u.  The Fourier tail is one QUADPACK QAWF
+    call (which takes no relative target) with the absolute target
+    1e-12 |head + flat tail|, so the target stays relative however small the
+    integral is.  Returns the value, the summed error estimate and the
+    Fourier tail.
+    """
+    from scipy import integrate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        if kind == "cos":
+            head, err = _dyadic_head(lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 10.0)
+            flat, e = _quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0)
+            head, err = head + flat, err + e
+        else:
+            head, err = _dyadic_head(lambda u: np.sin(u) * g(u), 10.0)
+        osc, e = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0, limit=400,
+                                epsabs=1e-12 * abs(head))
+    return head + (osc if kind == "sin" else -osc), err + e, osc
+
+
 def compute_h(model: LevyModel, r: float) -> float:
     """Scale-activity integral h(r) = int (1 ^ x^2/r^2) nu(|x|) dx, r > 0.
 
@@ -87,7 +144,7 @@ def compute_h(model: LevyModel, r: float) -> float:
     if r <= 0:
         raise ValueError("radius must be positive")
 
-    head, err = _dyadic_head(_quad, lambda x: x * x * model.nu(x), r)
+    head, err = _dyadic_head(lambda x: x * x * model.nu(x), r)
     tail = 0.0
     zero_run = 0
     for k in range(200):
@@ -117,7 +174,7 @@ def _K_scalar(model: LevyModel, x: float) -> float:
     x = abs(x)
     if x == 0.0:
         return 0.0
-    val, err, osc = _unit_frequency(_quad, lambda u: 1.0 / (x * model.psi(u / x)), "cos")
+    val, err, osc = _unit_frequency(lambda u: 1.0 / (x * model.psi(u / x)), "cos")
     val /= np.pi
     if not np.isfinite(val) or val < 0:
         raise KernelQuadratureError(f"compensated kernel quadrature failed at x={x}")
@@ -135,7 +192,7 @@ def compute_dK(model: LevyModel, x) -> float:
 
 def _dK_scalar(model: LevyModel, x: float) -> float:
     # same unit-frequency rescaling as the kernel itself
-    val, err, osc = _unit_frequency(_quad, lambda u: u / (x * x * model.psi(u / x)), "sin")
+    val, err, osc = _unit_frequency(lambda u: u / (x * x * model.psi(u / x)), "sin")
     val /= np.pi
     if not np.isfinite(val):
         raise KernelQuadratureError(f"kernel-derivative quadrature failed at x={x}")

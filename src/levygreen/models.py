@@ -12,15 +12,13 @@ frequency grid, and ``require_valid_scaling`` refuses models that fail the
 check.  Every CLI command that builds a kernel table calls it first
 (``cli._table_for``) and reports a refusal as a config error.
 
-``scipy.integrate`` is imported inside the quadrature symbols and
-``_unit_frequency`` that use it, so importing this module (and every
-command that never integrates) does not load it.
+Every family has a closed-form symbol, so this module integrates nothing
+and imports no scipy module; the kernel quadratures live in ``kernels``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,22 +31,18 @@ __all__ = [
     "ScalingReport",
     "stable_model",
     "stable_mixture_model",
-    "truncated_stable_model",
-    "custom_model",
     "model_from_config",
     "stable_index",
     "estimate_scaling",
     "require_valid_scaling",
 ]
 
-_HEAD_SHELLS = 40       # dyadic shells toward 0 before the closing pass of a head integral
-
 
 @dataclass(frozen=True)
 class LevyModel:
     """Immutable description of one process; safe to share across threads."""
 
-    family: str                       # stable | stable-mixture | truncated-stable | custom
+    family: str                       # stable | stable-mixture; a caller-built model names its own
     psi: Callable[[np.ndarray], np.ndarray]
     nu: Callable[[np.ndarray], np.ndarray]
     alpha: float | None = None        # the family's stability index; only "stable" has closed forms
@@ -104,54 +98,6 @@ def _density_constant_any(alpha: float) -> float:
     return -1.0 / (2.0 * math.gamma(-alpha) * math.cos(math.pi * alpha / 2.0))
 
 
-def truncated_stable_model(alpha: float, radius: float) -> LevyModel:
-    """Stable jump density cut off beyond a fixed radius.
-
-    The density matches the stable one below the cutoff, so all small-scale
-    kernels are unchanged; only tails (and the low-frequency symbol) differ.
-    The symbol has no closed form and is evaluated by quadrature of nu.
-    """
-    if not 1.0 < alpha < 2.0:
-        raise ValueError(f"stability index must lie in (1, 2), got {alpha}")
-    if radius <= 0:
-        raise ValueError("truncation radius must be positive")
-    c = stable.levy_density_constant(alpha)
-
-    def nu(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= radius, c * r ** (-1.0 - alpha), 0.0)
-
-    def psi(xi):
-        return _map_scalar(lambda x: _psi_truncated_scalar(alpha, c, radius, abs(x)), xi)
-
-    return LevyModel("truncated-stable", psi, nu, alpha=alpha,
-                     params=(("alpha", alpha), ("radius", float(radius))))
-
-
-def _psi_truncated_scalar(alpha: float, c: float, radius: float, x: float) -> float:
-    if x == 0.0:
-        return 0.0
-    from scipy import integrate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(lambda z: 2.0 * np.sin(0.5 * x * z) ** 2 * z ** (-1.0 - alpha),
-                                0.0, radius, limit=400)
-    return 2.0 * c * val
-
-
-def custom_model(nu: Callable, psi: Callable | None = None) -> LevyModel:
-    """Model from a user jump density; the symbol defaults to quadrature of nu.
-
-    The caller must supply a nonincreasing ``nu`` (a unimodal process); it is
-    not checked.  The config families are nonincreasing by construction.
-    The default symbol needs a continuous ``nu`` (see :func:`_psi_by_quadrature`).
-    """
-    if psi is None:
-        def psi(xi):
-            return _map_scalar(lambda t: _psi_by_quadrature(nu, t), xi)
-    return LevyModel("custom", psi, nu)
-
-
 def model_from_config(cfg: dict) -> LevyModel:
     """Build a model from a key-value description (see README for the schema)."""
     family = cfg.get("family")
@@ -159,8 +105,6 @@ def model_from_config(cfg: dict) -> LevyModel:
         return stable_model(float(cfg["alpha"]))
     if family == "stable-mixture":
         return stable_mixture_model(cfg["alphas"], cfg.get("weights", [1.0] * len(cfg["alphas"])))
-    if family == "truncated-stable":
-        return truncated_stable_model(float(cfg["alpha"]), float(cfg["truncation_radius"]))
     raise ValueError(f"unknown model family: {family!r}")
 
 
@@ -168,90 +112,12 @@ def stable_index(model: LevyModel) -> float:
     """Stability index of a model whose Green and kernel closed forms exist.
 
     Only the ``stable`` family has them.  Every other family is refused,
-    including truncated-stable, which carries an index of its own.
+    including ``stable-mixture``, whose components each carry an index.
     """
     if model.family != "stable":
         raise ValueError(f"closed forms exist only for the stable family, "
                          f"not for {model.family!r}")
     return model.alpha
-
-
-def _map_scalar(fn: Callable[[float], float], x):
-    """Apply a scalar evaluator elementwise; a scalar argument gives a float."""
-    arr = np.asarray(x, dtype=float)
-    out = np.array([fn(float(t)) for t in np.atleast_1d(arr).ravel()])
-    return out.reshape(arr.shape) if arr.shape else float(out[0])
-
-
-# ---------------------------------------------------------------------------
-# evaluators
-
-
-def _dyadic_head(quad, f, top: float):
-    """int_0^top f as dyadic shells top*[2^-(k+1), 2^-k] plus one closing pass.
-
-    ``quad(f, a, b)`` returns a value and an error estimate; so does this.
-    Shells stop once one adds at most 1e-15 of the running total (after at
-    least five) or after ``_HEAD_SHELLS``; the closing pass on the rest of
-    (0, top) absorbs an integrable power singularity at 0.
-    """
-    total = err = 0.0
-    for k in range(_HEAD_SHELLS):
-        lo = top * 0.5 ** (k + 1)
-        piece, e = quad(f, lo, top * 0.5 ** k)
-        total += piece
-        err += e
-        if total > 0.0 and piece <= 1e-15 * total and k >= 4:
-            break
-    piece, e = quad(f, 0.0, lo)
-    return total + piece, err + e
-
-
-def _unit_frequency(quad, g, kind: str):
-    """int_0^inf w(u) g(u) du for w = 1 - cos u (``kind`` "cos") or sin u ("sin").
-
-    ``quad(f, a, b)`` returns a value and an error estimate.  The head on
-    (0, 10) goes over dyadic shells (:func:`_dyadic_head`).  For "cos" the
-    rest is the flat tail int_10^inf g, taken as t = 10/u on (0, 1), minus
-    the Fourier tail int_10^inf g cos u; for "sin" it is the Fourier tail
-    int_10^inf g sin u.  The Fourier tail is one QUADPACK QAWF call (which
-    takes no relative target) with the absolute target 1e-12 |head + flat
-    tail|, so the target stays relative however small the integral is.
-    Returns the value, the summed error estimate and the Fourier tail.
-    """
-    from scipy import integrate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        if kind == "cos":
-            head, err = _dyadic_head(quad, lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 10.0)
-            flat, e = quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0)
-            head, err = head + flat, err + e
-        else:
-            head, err = _dyadic_head(quad, lambda u: np.sin(u) * g(u), 10.0)
-        osc, e = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0, limit=400,
-                                epsabs=1e-12 * abs(head))
-    return head + (osc if kind == "sin" else -osc), err + e, osc
-
-
-def _psi_by_quadrature(nu: Callable, x: float) -> float:
-    """Symbol from the jump density: 2 int_0^inf (1 - cos(x z)) nu(z) dz.
-
-    Rescaled to unit frequency, 2 int_0^inf (1 - cos u) nu(u/x)/x du, so the
-    Fourier tail always starts at u = 10 with unit wavenumber, and summed by
-    :func:`_unit_frequency`.  nu must be continuous: a jump in nu, such as
-    the cutoff of ``truncated_stable_model``, can fall inside one shell or
-    the Fourier tail and be missed (relative errors up to 7e-4 seen).
-    """
-    if x == 0.0:
-        return 0.0
-    x = abs(x)
-    from scipy import integrate
-
-    def quad(f, a, b):
-        return integrate.quad(f, a, b, limit=400, epsabs=0.0, epsrel=1e-11)
-
-    val, _, _ = _unit_frequency(quad, lambda u: nu(u / x) / x, "cos")
-    return 2.0 * val
 
 
 # ---------------------------------------------------------------------------

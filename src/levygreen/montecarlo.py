@@ -16,13 +16,13 @@ option to choose:
   increment of the noise over the step (the Chambers-Mallows-Stuck transform
   of a uniform and an exponential variate; a ``stable-mixture`` with symbol
   sum_i w_i |xi|^alpha_i adds one independent draw over w_i dt per
-  component; ``truncated-stable`` and ``custom`` have no exact increment and
-  are refused).  With zero drift the discrete chain is the true process
-  observed on a time grid; otherwise the only Euler error is first-order
-  splitting of the drift substep and post-step exit detection.  Exit happens
-  by a macroscopic jump, which makes post-step detection reliable; the
-  residual time-discretization bias is quantified by step-halving rather
-  than modeled.  Each step looks up the component of each path once, at the
+  component; any other family has no exact increment and is refused).
+  With zero drift the discrete chain is the true process observed on a time
+  grid; otherwise the only Euler error is first-order splitting of the
+  drift substep and post-step exit detection.  Exit happens by a
+  macroscopic jump, which makes post-step detection reliable; the residual
+  time-discretization bias is quantified by step-halving rather than
+  modeled.  Each step looks up the component of each path once, at the
   step's end; the boundary distance of the next step and both ends'
   occupation bins come from it.
 
@@ -251,7 +251,7 @@ class ExitSample:
     tau: np.ndarray                 # per path: exit time (Euler), E[tau | walk] (walk on spheres)
     exit_pos: np.ndarray
     occupation: np.ndarray          # per-bin total time
-    occupation_sq: np.ndarray       # per-bin sum of squared per-path times
+    occupation_m2: np.ndarray       # per-bin sum of squared deviations from the mean path time
     bins: BinGrid
     n_paths: int
     censored: int
@@ -291,14 +291,21 @@ def _run_chunks(config: PathConfig, bins: BinGrid, track_occupation: bool, engin
     ``walk_chunk(m, rng, occ_chunk)`` simulates m paths, adds their per-bin
     times to occ_chunk (None when occupation is not tracked) and returns
     (tau, exit_pos, censored) of the chunk.  The chunks make one
-    ``ExitSample`` of the named engine.
+    ``ExitSample`` of the named engine.  Each chunk's sum of squared
+    deviations from its own mean joins the running one by the pairwise
+    update of Chan, Golub and LeVeque (*Amer. Statist.* 37 (1983) 242-247),
+    so the variance never subtracts two nearly equal moments.  The update
+    works on times less the first chunk's mean, so the difference of two
+    chunk means keeps its digits however large the times are.
     """
     n_total = config.n_paths
     tau = np.empty(n_total)
     exit_pos = np.empty(n_total)
     occ = np.zeros(bins.n_bins)
-    occ_sq = np.zeros(bins.n_bins)
-    censored = 0
+    occ_m2 = np.zeros(bins.n_bins)
+    dev_sum = np.zeros(bins.n_bins)     # sum of the times less the shift
+    shift = None
+    censored = done = 0
     chunks = np.array_split(np.arange(n_total), max(1, n_total // _CHUNK))
     seeds = np.random.SeedSequence(config.seed).spawn(len(chunks))
     for chunk_idx, seed in zip(chunks, seeds):
@@ -309,9 +316,18 @@ def _run_chunks(config: PathConfig, bins: BinGrid, track_occupation: bool, engin
         exit_pos[chunk_idx] = cpos
         censored += ccens
         if track_occupation:
+            if shift is None:
+                shift = occ_chunk.mean(axis=0)
+            dev = occ_chunk - shift
+            chunk_dev = dev.sum(axis=0)
+            delta = chunk_dev / m - (dev_sum / done if done else 0.0)
+            dev -= chunk_dev / m        # in place: the chunk needs one temporary
+            occ_m2 += (np.square(dev, out=dev).sum(axis=0)
+                       + delta ** 2 * (done * m / (done + m)))
+            dev_sum += chunk_dev
             occ += occ_chunk.sum(axis=0)
-            occ_sq += (occ_chunk ** 2).sum(axis=0)
-    return ExitSample(tau, exit_pos, occ, occ_sq, bins, n_total, censored, engine)
+        done += m
+    return ExitSample(tau, exit_pos, occ, occ_m2, bins, n_total, censored, engine)
 
 
 def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
@@ -477,10 +493,8 @@ def mc_green(model: LevyModel, b: Callable, D: C11Set, x0: float,
 
 def _green_estimate(s: ExitSample) -> tuple[BinGrid, np.ndarray, np.ndarray, ExitSample]:
     n, w = s.n_paths, s.bins.widths
-    mean_occ = s.occupation / n
-    var_occ = np.maximum(s.occupation_sq / n - mean_occ ** 2, 0.0)
-    val = mean_occ / w
-    se = np.sqrt(var_occ / n) / w
+    val = s.occupation / n / w
+    se = np.sqrt(s.occupation_m2 / n / n) / w
     return s.bins, val, se, s
 
 

@@ -57,7 +57,6 @@ ROOT = Path(__file__).resolve().parents[1]
 UNREACHED_BUT_KEPT = {
     "compute_K": "QUADPACK oracle of the batched K, for checking a table by hand",
     "compute_dK": "QUADPACK oracle of the batched dK, for checking a table by hand",
-    "custom_model": "API constructor of a model from a user jump density",
     "custom_drift": "API constructor of a drift from a user function",
     "green_envelope": "the paper's two-sided Green estimate shape",
 }
@@ -149,8 +148,7 @@ REMOVED_KEYWORDS = {
                 "KernelTable.M_at": ["extend"],
                 "check_table_invariants": ["interp_slack", "n_pairs", "seed", "rel_slack"],
                 "check_K_subadditivity_exact": ["seed", "rel_slack"]},
-    "models": {"custom_model": ["name"],
-               "estimate_scaling": ["theta_min", "theta_max", "n_grid"],
+    "models": {"estimate_scaling": ["theta_min", "theta_max", "n_grid"],
                "require_valid_scaling": ["kwargs"]},
     "kato": {"kato_modulus": ["x_grid", "span", "n_translates"],
              "is_kato": ["n_translates", "tol", "r_sequence"],
@@ -175,7 +173,8 @@ REMOVED_MEMBERS = {("geometry", "C11Set"): ["component_index", "distortion", "to
                    ("montecarlo", "BinGrid"): ["index"]}
 REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac", "small_jump_cutoff",
                                                  "time_cap", "chunk"],
-                  ("montecarlo", "ExitSample"): ["config", "approximate_noise"],
+                  ("montecarlo", "ExitSample"): ["config", "approximate_noise",
+                                                 "occupation_sq"],
                   ("montecarlo", "McEstimate"): ["kind"],
                   ("perturbation", "NystromGrid"): ["grading"],
                   ("perturbation", "PerturbedGreen"): ["operator", "mode", "converged", "trace"],
@@ -187,7 +186,7 @@ REMOVED_FIELDS = {("montecarlo", "PathConfig"): ["ref_frac", "floor_frac", "smal
 REMOVED_NAMES = {"green": ["envelope_green", "green_punctured_line", "gradient_tail_integrals"],
                  "kernels": ["compute_V", "heat_kernel_envelope"],
                  "models": ["check_levy_integrability", "psi_from_nu", "check_unimodal",
-                            "eval_nu", "eval_psi"]}
+                            "eval_nu", "eval_psi", "truncated_stable_model", "custom_model"]}
 
 
 def test_removed_options_stay_gone():
@@ -214,7 +213,6 @@ def test_removed_options_stay_gone():
 # benchmark sets, each kept for the reason given
 UNSET_BUT_KEPT = {
     "kato.custom_drift(label)": "API constructor of a drift from a user function",
-    "models.custom_model(psi)": "API constructor of a model from a user jump density",
 }
 
 
@@ -276,7 +274,7 @@ def test_only_the_cli_and_svgplot_write_files():
 
 def test_only_the_unit_frequency_integrator_runs_qawf():
     # one Fourier-tail rule (QUADPACK's QAWF, reached through quad's weight=)
-    # serves the K, dK and psi oracles
+    # serves the K and dK oracles
     callers = []
     for path in sorted(Path(levygreen.__path__[0]).glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -287,7 +285,7 @@ def test_only_the_unit_frequency_integrator_runs_qawf():
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
                 if name == "quad" and any(k.arg == "weight" for k in node.keywords):
                     callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert callers == ["models._unit_frequency"]
+    assert callers == ["kernels._unit_frequency"]
 
 
 # scipy modules that only the kernel tables, the Green solves and the

@@ -145,13 +145,15 @@ def test_report_small_domain_bounds(tmp_path, cfg_path, capsys):
 
 @pytest.mark.parametrize("command", ["perturb", "green", "report"])
 def test_green_commands_refuse_models_without_closed_forms(tmp_path, command, capsys):
-    cfg = dict(SMALL_CFG, model={"family": "truncated-stable", "alpha": 1.5,
-                                 "truncation_radius": 0.3})
+    # a stable mixture is a known family that the closed forms do not cover
+    cfg = dict(SMALL_CFG, model={"family": "stable-mixture", "alphas": [1.2, 1.8]})
     p = tmp_path / "c.json"
     p.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main([command, "--config", str(p), "--out", str(out)]) == 2
-    assert "truncated-stable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "closed forms exist only for the stable family" in err
+    assert "'stable-mixture'" in err
     assert not (out / "ratios.csv").exists()
 
 

@@ -40,8 +40,11 @@ def test_h_psi_bracket():
 
 
 def test_h_truncated_vanishes_at_infinity():
-    # beyond the cutoff only the second-moment head remains, so h ~ r^-2
-    m = models.truncated_stable_model(ALPHA, 1.0)
+    # beyond the cutoff only the second-moment head remains, so h ~ r^-2;
+    # the tail shells end on a run of zero pieces
+    s = models.stable_model(ALPHA)
+    m = models.LevyModel("custom", s.psi,
+                         lambda r: np.where(np.asarray(r) <= 1.0, s.nu(r), 0.0))
     vals = [kernels.compute_h(m, r) for r in (10.0, 100.0, 1000.0)]
     assert vals[0] > vals[1] > vals[2] > 0
     assert vals[2] / vals[0] == pytest.approx(1e-4, rel=1e-6)
@@ -188,8 +191,8 @@ def test_density_jump_takes_the_oracle_at_the_affected_radii():
     # the jump at radius 30 sits inside one dyadic shell of every radius;
     # it spoils the panel rule's error estimate where that shell matters
     s = models.stable_model(ALPHA)
-    m = models.custom_model(nu=lambda x: s.nu(x) * np.where(np.asarray(x) < 30.0, 1.0, 0.5),
-                            psi=s.psi)
+    m = models.LevyModel("custom", s.psi,
+                         lambda x: s.nu(x) * np.where(np.asarray(x) < 30.0, 1.0, 0.5))
     table = kernels.build_table(m, diam=1.0, points_per_decade=4)
     oracle = ~(table.err[0] <= 1e-10)
     assert 0 < np.count_nonzero(oracle) < len(table.r)
@@ -267,8 +270,8 @@ def test_csv_export(tmp_path, table15):
 
 def test_quadrature_failure_reports_tolerance():
     # a symbol that grows too slowly makes the compensated kernel diverge
-    bad = models.custom_model(nu=lambda r: np.asarray(r) ** -1.5,
-                              psi=lambda x: np.abs(np.asarray(x, dtype=float)) ** 0.5)
+    bad = models.LevyModel("custom", lambda x: np.abs(np.asarray(x, dtype=float)) ** 0.5,
+                           lambda r: np.asarray(r) ** -1.5)
     with pytest.raises((kernels.KernelQuadratureError, ValueError)):
         kernels.compute_K(bad, 1.0)
 

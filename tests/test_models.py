@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -13,8 +16,7 @@ def test_stable_psi_is_exact_power():
 
 def test_psi_zero_for_all_families():
     for m in (models.stable_model(1.2),
-              models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]),
-              models.truncated_stable_model(1.5, 2.0)):
+              models.stable_mixture_model([1.2, 1.8], [1.0, 1.0])):
         assert m.psi(0.0) == 0.0
 
 
@@ -40,47 +42,6 @@ def test_nu_normalization_by_quadrature():
     assert 2 * (head + flat - osc) == pytest.approx(1.0, rel=1e-9)
 
 
-def test_truncated_nu_vanishes_beyond_radius():
-    m = models.truncated_stable_model(1.5, 2.0)
-    assert m.nu(3.0) == 0.0
-    s = models.stable_model(1.5)
-    assert m.nu(1.0) == s.nu(1.0)
-
-
-def test_psi_from_nu_matches_closed_form():
-    # a custom model without a symbol takes it by quadrature of its density
-    q = models.custom_model(models.stable_model(1.5).nu)
-    for xi in (1e-3, 1e-1, 1.0, 7.3, 1e2, 1e3):
-        assert q.psi(xi) == pytest.approx(xi ** 1.5, rel=1e-6)
-
-
-@pytest.mark.parametrize("alpha", [1.5, 1.9])
-def test_psi_from_nu_relative_at_low_frequency(alpha):
-    # psi = xi^alpha is far below any fixed absolute target here
-    q = models.custom_model(models.stable_model(alpha).nu)
-    for xi in (1e-6, 1e-4):
-        assert abs(q.psi(xi) / xi ** alpha - 1.0) <= 1e-12
-
-
-def test_psi_from_nu_finds_a_density_supported_near_zero():
-    # at low frequency the truncated density lives below u = 0.0217, the
-    # first sample point of a single adaptive pass over the head (0, 10)
-    m = models.truncated_stable_model(1.5, 0.3)
-    q = models.custom_model(m.nu)
-    for xi in (0.01, 0.05, 0.0724, 1.0, 10.0):
-        assert q.psi(xi) == pytest.approx(float(m.psi(xi)), rel=1e-8)
-
-
-@pytest.mark.xfail(strict=True, reason="known defect: the quadrature symbol of a jump "
-                   "density with a truncation edge misses it; custom_model needs a continuous nu")
-def test_known_defect_psi_from_nu_at_a_truncation_edge():
-    # the family's own symbol matches a per-period split QUADPACK reference to
-    # 4.3e-15; the default symbol was seen off by -7.35e-4, +2.16e-5, +1.80e-5
-    for radius, xi in ((1.0, 0.00489), (0.3, 33.3129), (1.0, 0.325509)):
-        m = models.truncated_stable_model(1.5, radius)
-        assert models.custom_model(m.nu).psi(xi) == pytest.approx(float(m.psi(xi)), rel=1e-8)
-
-
 def test_scaling_stable_is_exact():
     rep = models.estimate_scaling(models.stable_model(1.5))
     assert rep.alpha_low == pytest.approx(1.5, abs=1e-6)
@@ -104,10 +65,6 @@ def test_scaling_bracket_order_all_families():
               models.stable_mixture_model([1.2, 1.8], [1.0, 1.0])):
         rep = models.estimate_scaling(m)
         assert rep.alpha_low <= rep.alpha_high
-    # the truncated family has a quadratic low-frequency regime
-    rep = models.estimate_scaling(models.truncated_stable_model(1.5, 1.0))
-    assert rep.alpha_low <= rep.alpha_high
-    assert rep.standing_assumption
 
 
 def _all_pair_scaling(model):
@@ -137,8 +94,7 @@ def _all_pair_scaling(model):
 @pytest.mark.parametrize("model", [
     models.stable_model(1.5),
     models.stable_mixture_model([1.2, 1.8], [1.0, 1.0]),
-    models.truncated_stable_model(1.5, 1.0),
-], ids=["stable", "mixture", "truncated"])
+], ids=["stable", "mixture"])
 def test_scaling_exponents_match_all_pair_chords(model):
     rep = models.estimate_scaling(model)
     a_low, a_high, a_low_1, c_low, C_high = _all_pair_scaling(model)
@@ -148,9 +104,10 @@ def test_scaling_exponents_match_all_pair_chords(model):
 
 
 def test_scaling_rejects_nonmonotone_symbol():
-    wiggly = models.custom_model(
-        nu=lambda r: np.asarray(r) ** -2.5,
-        psi=lambda x: np.asarray(x) ** 1.5 * (1.0 + 0.5 * np.sin(3 * np.log(np.maximum(x, 1e-300)))))
+    wiggly = models.LevyModel(
+        "custom",
+        psi=lambda x: np.asarray(x) ** 1.5 * (1.0 + 0.5 * np.sin(3 * np.log(np.maximum(x, 1e-300)))),
+        nu=lambda r: np.asarray(r) ** -2.5)
     with pytest.raises(ValueError, match="scaling estimation failed: non-monotone"):
         models.estimate_scaling(wiggly)
     with pytest.raises(ValueError, match="scaling estimation failed: non-monotone"):
@@ -158,9 +115,10 @@ def test_scaling_rejects_nonmonotone_symbol():
 
 
 def test_require_valid_scaling_rejects_sublinear():
-    near_linear = models.custom_model(
-        nu=lambda r: np.asarray(r) ** -1.9,   # placeholder density
-        psi=lambda x: np.abs(np.asarray(x, dtype=float)) ** 0.9)
+    near_linear = models.LevyModel(
+        "custom",
+        psi=lambda x: np.abs(np.asarray(x, dtype=float)) ** 0.9,
+        nu=lambda r: np.asarray(r) ** -1.9)   # placeholder density
     with pytest.raises(ValueError, match="rejected"):
         models.require_valid_scaling(near_linear)
     models.require_valid_scaling(models.stable_model(1.5))
@@ -170,8 +128,7 @@ def test_unimodality():
     # every config family has a nonincreasing jump density by construction
     r = np.geomspace(1e-6, 1e2, 256)
     for cfg in ({"family": "stable", "alpha": 1.5},
-                {"family": "stable-mixture", "alphas": [0.6, 1.2, 1.8], "weights": [1, 2, 3]},
-                {"family": "truncated-stable", "alpha": 1.5, "truncation_radius": 0.3}):
+                {"family": "stable-mixture", "alphas": [0.6, 1.2, 1.8], "weights": [1, 2, 3]}):
         v = models.model_from_config(cfg).nu(r)
         assert np.all(np.diff(v) <= 0.0)
 
@@ -184,3 +141,18 @@ def test_model_from_config_roundtrip():
     assert mix.psi(1.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         models.model_from_config({"family": "gaussian"})
+
+
+def test_config_families_are_stable_and_stable_mixture():
+    # the two members of the paper's class that levygreen serves; the README
+    # lists exactly these, and any other family is unknown
+    built = {m.family for m in (
+        models.model_from_config({"family": "stable", "alpha": 1.5}),
+        models.model_from_config({"family": "stable-mixture", "alphas": [1.2, 1.8]}))}
+    assert built == {"stable", "stable-mixture"}
+    for family in ("truncated-stable", "custom"):
+        with pytest.raises(ValueError, match="unknown model family"):
+            models.model_from_config({"family": family, "alpha": 1.5, "truncation_radius": 0.3})
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Model families:"):readme.index("Drift families:")]
+    assert re.findall(r"`([a-z-]+)` \(`", paragraph) == ["stable", "stable-mixture"]

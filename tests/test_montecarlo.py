@@ -172,7 +172,7 @@ def test_euler_sample_matches_two_lookup_loop(stable15, monkeypatch, case):
     ref = _euler_two_lookups(stable15, b, D, x0, cfg)
     assert (case == "time-cap") == (ref.censored > 0)
     assert s.censored == ref.censored
-    for name in ("tau", "exit_pos", "occupation", "occupation_sq"):
+    for name in ("tau", "exit_pos", "occupation", "occupation_m2"):
         assert getattr(s, name).tobytes() == getattr(ref, name).tobytes()
 
 
@@ -183,7 +183,7 @@ def test_one_component_mixture_draws_the_stable_paths(stable15, monkeypatch):
     a, b = (mc.simulate_exit(m, sin_drift(1.0, 5.0), D, 0.2, cfg)
             for m in (stable15, models.stable_mixture_model([1.5], [1.0])))
     assert a.censored == b.censored
-    for name in ("tau", "exit_pos", "occupation", "occupation_sq"):
+    for name in ("tau", "exit_pos", "occupation", "occupation_m2"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
 
@@ -339,7 +339,7 @@ def test_walk_on_spheres_bitwise_reproducibility(stable15, two_interval, monkeyp
     cfg = mc.PathConfig(dt=1e-3, n_paths=5000, seed=123)
     a, b = (mc.simulate_exit(stable15, ZERO, two_interval, 0.5, cfg) for _ in range(2))
     assert a.engine == "walk-on-spheres"
-    for name in ("tau", "exit_pos", "occupation", "occupation_sq"):
+    for name in ("tau", "exit_pos", "occupation", "occupation_m2"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
     other = mc.simulate_exit(stable15, ZERO, two_interval, 0.5,
                              mc.PathConfig(dt=1e-3, n_paths=5000, seed=124))
@@ -413,9 +413,16 @@ def test_censoring_reported(stable15, unit_interval, monkeypatch):
     assert np.all(s.tau <= 0.05 + 1e-12) | np.any(s.tau > 0)
 
 
+_STABLE = models.stable_model(ALPHA)
+
+
 @pytest.mark.parametrize("model,b", [
-    (models.truncated_stable_model(ALPHA, 2.0), ZERO),
-    (models.custom_model(lambda r: np.asarray(r, dtype=float) ** -2.5), constant_drift(1.0)),
+    # the retired family's cutoff density, caller-built and driftless: it has
+    # no closed forms for the walk on spheres, and the Euler loop refuses it
+    (models.LevyModel("truncated-stable", _STABLE.psi,
+                      lambda r: np.where(np.asarray(r) <= 2.0, _STABLE.nu(r), 0.0)), ZERO),
+    (models.LevyModel("custom", _STABLE.psi,
+                      lambda r: np.asarray(r, dtype=float) ** -2.5), constant_drift(1.0)),
 ], ids=["truncated-stable", "custom"])
 def test_models_without_exact_increments_are_refused(unit_interval, monkeypatch, model, b):
     def no_paths(*args):
@@ -424,6 +431,27 @@ def test_models_without_exact_increments_are_refused(unit_interval, monkeypatch,
     with pytest.raises(ValueError, match=model.family):
         mc.simulate_exit(model, b, unit_interval, 0.0,
                          mc.PathConfig(dt=2e-3, n_paths=100, seed=19))
+
+
+def test_green_se_keeps_its_digits_beside_a_large_mean(monkeypatch):
+    # per-path occupations near 1e4 spread by 1e-4: E[x^2] - E[x]^2 would
+    # cancel every digit; the chunks' deviation sums keep them
+    monkeypatch.setattr(mc, "_CHUNK", 600)      # two chunks
+    cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=5, bin_width=0.5)
+    bins = mc.make_bins(interval_union((-1.0, 1.0)), cfg.bin_width)
+    written = []
+
+    def walk_chunk(m, rng, occ_chunk):
+        occ_chunk += 1e4 + 1e-4 * (rng.standard_normal(occ_chunk.shape) + len(written))
+        written.append(occ_chunk.copy())
+        return np.zeros(m), np.zeros(m), 0
+
+    _, val, se, _ = mc._green_estimate(mc._run_chunks(cfg, bins, True, "euler", walk_chunk))
+    occ = np.concatenate(written)
+    assert len(written) == 2 and occ.shape == (cfg.n_paths, bins.n_bins)
+    assert np.allclose(val, occ.mean(axis=0) / bins.widths, rtol=1e-12, atol=0.0)
+    want = np.std(occ, axis=0, ddof=0) / np.sqrt(cfg.n_paths) / bins.widths
+    assert np.max(np.abs(se / want - 1.0)) <= 1e-9
 
 
 def test_start_outside_rejected(stable15, unit_interval):
