@@ -316,8 +316,7 @@ def _boundary_biased_points(D: C11Set, n: int, rng):
     """
     lengths = np.array([b - a for a, b in D.intervals])
     comp = rng.choice(len(D.intervals), size=n, p=lengths / lengths.sum())
-    a = np.array([D.intervals[c][0] for c in comp])
-    b = np.array([D.intervals[c][1] for c in comp])
+    a, b = np.array(D.intervals)[comp].T
     u = np.clip(rng.random(n), 1e-4, 1.0 - 1e-4)
     x_unif = a + u * (b - a)
     d = np.maximum(rng.random(n), 1e-4) * 0.1 * D.r0
@@ -400,9 +399,7 @@ def three_g_constant(G: GreenFunction, table: KernelTable, n_triples: int = 100_
     z = _boundary_biased_points(D, n_triples, rng)
     keep = (x != y) & (y != z) & (x != z)
     x, y, z = x[keep], y[keep], z[keep]
-    gxz = np.asarray(G.value(x, z), dtype=float)
-    gzy = np.asarray(G.value(z, y), dtype=float)
-    gxy = np.asarray(G.value(x, y), dtype=float)
+    gxz, gzy, gxy = np.split(np.asarray(G.value(np.r_[x, z, x], np.r_[z, y, y]), dtype=float), 3)
     Vx = table.V_at(np.asarray(delta(D, x)))
     Vy = table.V_at(np.asarray(delta(D, y)))
     Vz = table.V_at(np.asarray(delta(D, z)))

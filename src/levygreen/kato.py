@@ -8,8 +8,9 @@ scale kernel vanishes uniformly as the window shrinks:
 Every bounded drift passes; a power pole |z - z0|^(-beta) passes exactly
 when beta stays below the kernel exponent (power counting at the pole).
 The supremum is taken over a translate grid that always includes the
-declared singular points, where spiky drifts attain it.  ``scipy.integrate``
-loads with the first windowed integral, so building a drift does not load it.
+declared singular points, where spiky drifts attain it.  A drift from a
+user function is ``DriftField(func, label=...)``.  ``scipy.integrate`` loads
+with the first windowed integral, so building a drift does not load it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "constant_drift",
     "sin_drift",
     "power_drift",
-    "custom_drift",
     "drift_from_config",
     "kato_modulus",
     "is_kato",
@@ -95,10 +95,6 @@ def power_drift(beta: float, center: float = 0.0, strength: float = 1.0) -> Drif
                       f"{strength} |z - {center}|^(-{beta})")
 
 
-def custom_drift(func: Callable, label: str = "custom") -> DriftField:
-    return DriftField(func, "custom", (), label)
-
-
 def drift_from_config(cfg: dict) -> DriftField:
     kind = cfg.get("family")
     if kind == "constant":
@@ -141,8 +137,6 @@ def _window_integral(b: DriftField, table: KernelTable, x: float, r: float) -> f
     total = 0.0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         length = hi - lo
-        if length <= 0:
-            continue
 
         def f(z):
             return float(table.M_at(abs(z - x))

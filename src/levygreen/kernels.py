@@ -36,7 +36,6 @@ oracle call, not with the module.
 from __future__ import annotations
 
 import warnings
-from typing import Callable
 
 import numpy as np
 
@@ -76,13 +75,6 @@ def _quad(f, a, b):
     if not np.isfinite(val):
         raise KernelQuadratureError(f"non-finite quadrature value on ({a}, {b})")
     return val, err
-
-
-def _map_scalar(fn: Callable[[float], float], x):
-    """Apply a scalar evaluator elementwise; a scalar argument gives a float."""
-    arr = np.asarray(x, dtype=float)
-    out = np.array([fn(float(t)) for t in np.atleast_1d(arr).ravel()])
-    return out.reshape(arr.shape) if arr.shape else float(out[0])
 
 
 def _dyadic_head(f, top: float):
@@ -163,12 +155,8 @@ def compute_h(model: LevyModel, r: float) -> float:
     return val
 
 
-def compute_K(model: LevyModel, x) -> float:
+def compute_K(model: LevyModel, x: float) -> float:
     """Compensated potential kernel by oscillatory quadrature; K(0) = 0, even."""
-    return _map_scalar(lambda t: _K_scalar(model, t), x)
-
-
-def _K_scalar(model: LevyModel, x: float) -> float:
     # rescaled to unit frequency: K(x) = (1/pi) int (1 - cos u) / (x psi(u/x)) du,
     # so the oscillatory tail always starts at u = 10 with unit wavenumber
     x = abs(x)
@@ -183,14 +171,10 @@ def _K_scalar(model: LevyModel, x: float) -> float:
     return val
 
 
-def compute_dK(model: LevyModel, x) -> float:
-    """Derivative of the compensated kernel: odd, positive on the right half line."""
-    if np.any(np.asarray(x) == 0.0):
-        raise ValueError("derivative of the compensated kernel is undefined at 0")
-    return _map_scalar(lambda t: np.sign(t) * _dK_scalar(model, abs(t)), x)
-
-
-def _dK_scalar(model: LevyModel, x: float) -> float:
+def compute_dK(model: LevyModel, x: float) -> float:
+    """Derivative of the compensated kernel at x > 0, where it is positive."""
+    if x <= 0:
+        raise ValueError("the kernel derivative is taken at x > 0")
     # same unit-frequency rescaling as the kernel itself
     val, err, osc = _unit_frequency(lambda u: u / (x * x * model.psi(u / x)), "sin")
     val /= np.pi
@@ -201,7 +185,7 @@ def _dK_scalar(model: LevyModel, x: float) -> float:
     return val
 
 
-_ORACLES = (compute_h, _K_scalar, _dK_scalar)     # h, K, dK at one radius
+_ORACLES = (compute_h, compute_K, compute_dK)     # h, K, dK at one radius
 
 
 def _panel_rule(edges):
@@ -282,7 +266,7 @@ def _batched_kernels(model: LevyModel, r: np.ndarray):
 
     Both results have shape (3, len(r)).  h = 2 r (int_0^1 t^2 nu(r t) dt +
     int_1^inf nu(r t) dt); K and dK use the unit-frequency split of
-    ``_K_scalar`` and ``_dK_scalar``.  An error is infinite where h or K is
+    ``compute_K`` and ``compute_dK``.  An error is infinite where h or K is
     not positive; a non-finite value has a non-finite error.
     """
     vals = np.empty((3, len(r)))
@@ -497,7 +481,7 @@ def check_K_subadditivity_exact(table: KernelTable, n_cross: int = 512) -> bool:
     x = np.concatenate([2.0 * r, r[i] + r[j]])
     Kx = _kernel_values(table.model, x)[0][1]
     spot = Kx[::_SPOT_STRIDE]
-    oracle = np.array([_K_scalar(table.model, float(t)) for t in x[::_SPOT_STRIDE]])
+    oracle = np.array([compute_K(table.model, float(t)) for t in x[::_SPOT_STRIDE]])
     if not np.all(np.abs(spot - oracle) <= _REL_SLACK * oracle):
         return False
     K2, Ks = Kx[:len(r)], Kx[len(r):]

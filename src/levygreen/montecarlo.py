@@ -119,7 +119,6 @@ class PathConfig:
 class McEstimate:
     value: float
     se: float
-    n: int
 
 
 @dataclass(frozen=True)
@@ -477,8 +476,7 @@ def mc_mean_exit_time(model: LevyModel, b: Callable, D: C11Set, x0: float,
 def mean_exit_estimate(s: ExitSample) -> McEstimate:
     """Mean of the sample's exit times and its standard error."""
     return McEstimate(float(np.mean(s.tau)),
-                      float(np.std(s.tau, ddof=1) / np.sqrt(s.n_paths)),
-                      s.n_paths)
+                      float(np.std(s.tau, ddof=1) / np.sqrt(s.n_paths)))
 
 
 def mc_green(model: LevyModel, b: Callable, D: C11Set, x0: float,

@@ -177,7 +177,11 @@ def solve_perturbed(G: GreenFunction, b: Callable, grid: NystromGrid) -> Perturb
 
 @dataclass(frozen=True)
 class ComparabilityReport:
-    """Grid statistics of the ratio Gt/G with the certified constant."""
+    """Grid statistics of the ratio Gt/G with the certified constant.
+
+    The histogram bins log(Gt/G) over the positive ratios; ``nonpositive``
+    counts the ratios it leaves out.
+    """
 
     n: int
     sup: float
@@ -187,6 +191,7 @@ class ComparabilityReport:
     residual: float
     hist_edges: tuple
     hist_counts: tuple
+    nonpositive: int
 
 
 def comparability_report(pg: PerturbedGreen) -> ComparabilityReport:
@@ -197,9 +202,11 @@ def comparability_report(pg: PerturbedGreen) -> ComparabilityReport:
         constant = np.inf
     else:
         constant = max(sup, 1.0 / inf)
-    counts, edges = np.histogram(np.log(np.clip(r, 1e-300, None)), bins=40)
+    # a NaN ratio stays in, and np.histogram refuses it
+    kept = r[~(r <= 0)]
+    counts, edges = np.histogram(np.log(kept), bins=40)
     return ComparabilityReport(pg.grid.n, sup, inf, float(constant), pg.kappa_disc,
-                               pg.residual, tuple(edges), tuple(counts))
+                               pg.residual, tuple(edges), tuple(counts), r.size - kept.size)
 
 
 def find_epsilon(domain_family: Callable[[float], C11Set], b: Callable,

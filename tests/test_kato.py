@@ -48,8 +48,8 @@ def test_certificates(table15):
 
 @pytest.mark.parametrize("drift,where", [
     (kato.constant_drift(np.nan), "sweep"),
-    (kato.custom_drift(lambda z: np.where(np.abs(np.asarray(z)) < 0.3, np.nan, 1.0), "core"),
-     "sweep"),
+    (kato.DriftField(lambda z: np.where(np.abs(np.asarray(z)) < 0.3, np.nan, 1.0),
+                     label="core"), "sweep"),
     (kato.power_drift(0.4, strength=np.nan), "sweep"),
     # finite in the translate sweep, NaN only within 1e-7 of its declared pole
     (kato.DriftField(lambda z: np.where(np.abs(np.asarray(z)) < 1e-7, np.nan, 1.0), "custom",
@@ -75,7 +75,7 @@ def test_overflowing_drift_fails_without_warning(table15):
 
 def test_bounded_drifts_accepted(table15):
     for b in (kato.constant_drift(3.0), kato.sin_drift(2.0, 11.0),
-              kato.custom_drift(lambda z: np.tanh(np.asarray(z)), label="tanh")):
+              kato.DriftField(lambda z: np.tanh(np.asarray(z)), label="tanh")):
         assert kato.is_kato(b, table15).passed
 
 

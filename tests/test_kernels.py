@@ -106,13 +106,12 @@ def test_K_dilation_homogeneity():
             2 ** (ALPHA - 1) * kernels.compute_K(m, x), rel=1e-8)
 
 
-def test_dK_is_odd_and_matches_homogeneous_form():
+def test_dK_refuses_nonpositive_x_and_matches_homogeneous_form():
     m = models.stable_model(ALPHA)
-    v = kernels.compute_dK(m, 1.0)
-    assert v == pytest.approx(0.5 * K1, rel=1e-9)
-    assert kernels.compute_dK(m, -1.0) == pytest.approx(-v, rel=1e-12)
-    with pytest.raises(ValueError):
-        kernels.compute_dK(m, 0.0)
+    assert kernels.compute_dK(m, 1.0) == pytest.approx(0.5 * K1, rel=1e-9)
+    for x in (-1.0, 0.0):
+        with pytest.raises(ValueError):
+            kernels.compute_dK(m, x)
 
 
 def test_dK_finite_difference_consistency():
@@ -183,8 +182,8 @@ def test_batched_mixture_table_matches_components_and_oracle():
     want = sum(w * stable.h_constant(a) * r ** -a for a, w in zip(alphas, weights))
     assert np.max(np.abs(table.h / want - 1.0)) <= 1e-12
     for i in range(0, len(r), 16):
-        assert table.K[i] == pytest.approx(kernels._K_scalar(m, float(r[i])), rel=1e-9)
-        assert table.dK[i] == pytest.approx(kernels._dK_scalar(m, float(r[i])), rel=1e-9)
+        assert table.K[i] == pytest.approx(kernels.compute_K(m, float(r[i])), rel=1e-9)
+        assert table.dK[i] == pytest.approx(kernels.compute_dK(m, float(r[i])), rel=1e-9)
 
 
 def test_density_jump_takes_the_oracle_at_the_affected_radii():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -213,14 +214,27 @@ def test_comparability_report_fields(tmp_path, oracle15, grid200):
     rep = pert.comparability_report(pg)
     assert rep.inf <= 1.0 <= rep.sup or rep.inf > 0
     assert rep.constant >= max(rep.sup, 1.0 / rep.inf) - 1e-12
-    assert sum(rep.hist_counts) == grid200.n ** 2
+    assert sum(rep.hist_counts) + rep.nonpositive == grid200.n ** 2
     # the report as perturb writes it into comparability.json
     path = tmp_path / "comparability.json"
     cli._write_json(path, {"report": rep})
     d = json.loads(path.read_text())["report"]
     assert set(d) == {"n", "sup", "inf", "constant", "kappa_disc", "residual", "hist_edges",
-                      "hist_counts"}
-    assert d["constant"] == rep.constant and sum(d["hist_counts"]) == grid200.n ** 2
+                      "hist_counts", "nonpositive"}
+    assert d["constant"] == rep.constant
+    assert sum(d["hist_counts"]) + d["nonpositive"] == grid200.n ** 2
+
+
+def test_histogram_leaves_out_nonpositive_ratios(oracle15, unit_interval):
+    grid = pert.build_grid(unit_interval, 40, ALPHA)
+    pg = pert.solve_perturbed(oracle15, sin_drift(1.0, 5.0), grid)
+    Gt = pg.matrix.copy()
+    Gt[3, 7] = -Gt[3, 7]
+    rep = pert.comparability_report(dataclasses.replace(pg, matrix=Gt))
+    r = Gt / pg.unperturbed
+    assert rep.nonpositive == 1 and sum(rep.hist_counts) == grid.n ** 2 - 1
+    assert rep.hist_edges[0] == np.log(np.min(r[r > 0]))
+    assert rep.constant == np.inf
 
 
 def test_find_epsilon_zero_drift_returns_max(oracle15):
