@@ -22,9 +22,14 @@ option to choose:
   drift substep and post-step exit detection.  Exit happens by a
   macroscopic jump, which makes post-step detection reliable; the residual
   time-discretization bias is quantified by step-halving rather than
-  modeled.  Each step looks up the component of each path once, at the
-  step's end; the boundary distance of the next step and both ends'
-  occupation bins come from it.
+  modeled.  Each path carries its cell: its occupation bin, or its
+  component when occupation is not tracked.  Every cell is an exact float
+  interval [lo, hi] of the bin lookup, so a step that ends inside its cell
+  costs two comparisons, and only the paths that leave it look up the
+  domain and their new cell.  A path's occupation of its current bin lives
+  in a per-path register that takes both half-steps' times and goes back
+  to the bin when the path leaves it, exits or is censored; every bin gets
+  the same additions in the same order as a per-step scatter would.
 
 The stable increment over dt is dt^(1/alpha) times the Chambers-Mallows-Stuck
 variate (Chambers, Mallows and Stuck, JASA 71 (1976) 340-344) of u uniform on
@@ -163,6 +168,43 @@ def _component(lo: np.ndarray, x: np.ndarray) -> np.ndarray:
     return c
 
 
+def _ordered(v: np.ndarray) -> np.ndarray:
+    """float64 <-> int64 keys in the order of the floats (the map is its own inverse)."""
+    v = np.ascontiguousarray(v).view(np.int64)
+    return v ^ ((v >> 63) & np.int64(0x7FFF_FFFF_FFFF_FFFF))
+
+
+def _cell_bounds(bins: BinGrid, by_bin: bool) -> tuple:
+    """Exact float bounds [lo, hi] of every cell, in order, and the component of each.
+
+    A cell is a bin of ``bins`` when ``by_bin``, otherwise a component of the
+    domain; a component (a, b) runs from nextafter(a, +inf) to
+    nextafter(b, -inf).  ``_index`` is monotone in x (a subtraction, a
+    division and a product by positive constants, then a truncation), so a
+    bin is the float interval from the smallest position ``_index`` maps to
+    it to the one below the next bin's smallest.  Those smallest positions
+    are bisected over the ordered floats, all bins at once.
+    """
+    ends = np.array(bins.domain.intervals)
+    first = np.nextafter(ends[:, 0], np.inf)
+    last = np.nextafter(ends[:, 1], -np.inf)
+    if not by_bin:
+        return first, last, np.arange(len(ends))
+    comp = np.repeat(np.arange(len(ends)), [len(e) - 1 for e in bins.edges])
+    cell = np.arange(bins.n_bins)
+    # _index(comp, x) >= cell holds at hi; lo is the key below the component
+    lo, hi = _ordered(first[comp]) - 1, _ordered(last[comp])
+    while np.any(hi - 1 > lo):
+        mid = (lo >> 1) + (hi >> 1) + ((lo | hi) & 1)  # rounded up, so never lo; no overflow
+        up = bins._index(comp, _ordered(mid).view(np.float64)) >= cell
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    start = _ordered(hi).view(np.float64)
+    same = np.append(comp[1:] == comp[:-1], False)      # the next bin is in the component
+    end = np.where(same, np.nextafter(np.append(start[1:], 0.0), -np.inf), last[comp])
+    return start, end, comp
+
+
 def make_bins(D: C11Set, width: float) -> BinGrid:
     edges, offsets, off = [], [], 0
     for a, b in D.intervals:
@@ -248,7 +290,8 @@ def _jump_sampler(model: LevyModel):
 @dataclass(frozen=True)
 class ExitSample:
     tau: np.ndarray                 # per path: exit time (Euler), E[tau | walk] (walk on spheres)
-    exit_pos: np.ndarray
+    exit_pos: np.ndarray            # per path: first position outside D; a censored
+                                    # path's last position, inside D
     occupation: np.ndarray          # per-bin total time
     occupation_m2: np.ndarray       # per-bin sum of squared deviations from the mean path time
     bins: BinGrid
@@ -343,8 +386,11 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     cap_time = _CAP_FACTOR * min((D.diam / 2.0) ** a / w for a, w in _components(model))
     d_ref = _REF_FRAC * D.r0
     d_floor = _FLOOR_FRAC * D.r0
+    n_bins = bins.n_bins
 
     left, right = np.array(D.intervals).T
+    cell_lo, cell_hi, cell_comp = _cell_bounds(bins, track_occupation)
+    cell_left, cell_right = left[cell_comp], right[cell_comp]
 
     def walk_chunk(m, rng, occ_chunk):
         censored = 0
@@ -353,45 +399,60 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
         t_acc = np.zeros(m)                 # elapsed time of each alive path
         ctau = np.empty(m)
         cpos = np.empty(m)
-        comp = _component(left, x)          # component of each alive path
+        # the cell of each alive path: its bin, or its component when occupation
+        # is not tracked; the cells' exact bounds make the lookup a search
+        cell = np.full(m, np.searchsorted(cell_lo, x0, side="right") - 1)
         if occ_chunk is not None:
             occ_flat = occ_chunk.reshape(-1)    # view: path p, bin k at p*n_bins + k
-            slot = alive * bins.n_bins + bins._index(comp, x)   # start-of-step bin in occ_flat
+            acc = np.zeros(m)       # occupation of each path's current bin, not yet stored
         while len(alive):
-            dist = np.minimum(x - left[comp], right[comp] - x)
+            dist = np.minimum(x - cell_left[cell], cell_right[cell] - x)
             dtv = config.dt * np.minimum(
                 np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha
             if occ_chunk is not None:
                 # trapezoidal attribution in time: half the step at its start,
                 # half at its end if the path is still inside
                 half = 0.5 * dtv
-                occ_flat[slot] += half
+                acc += half
             bx = np.asarray(b(x), dtype=float)
             if not np.all(np.isfinite(bx)):
                 raise FloatingPointError("drift evaluated to a non-finite value on a path")
             x_new = x + bx * dtv + draw(rng, dtv, len(alive))
             t_acc += dtv
-            inside = D.contains(x_new)
-            x_in = x_new[inside]
-            comp = _component(left, x_in)
+            stay = cell_lo[cell] <= x_new
+            stay &= x_new <= cell_hi[cell]
+            moved = np.flatnonzero(~stay)       # left the cell: the domain decides
+            x_moved = x_new[moved]
+            inside = D.contains(x_moved)
+            out = moved[~inside]
+            if len(moved):
+                into = moved[inside]
+                if occ_chunk is not None:
+                    # store the registers of the bins left, load those of the bins entered
+                    occ_flat[alive[moved] * n_bins + cell[moved]] = acc[moved]
+                cell[into] = np.searchsorted(cell_lo, x_moved[inside], side="right") - 1
+                if occ_chunk is not None:
+                    acc[into] = occ_flat[alive[into] * n_bins + cell[into]]
             if occ_chunk is not None:
-                slot = alive[inside] * bins.n_bins + bins._index(comp, x_in)
-                occ_flat[slot] += half[inside]
-            hit_cap = t_acc >= cap_time
-            finish = ~inside | hit_cap
-            if np.any(finish):
-                fin = alive[finish]
-                ctau[fin] = t_acc[finish]
-                cpos[fin] = x_new[finish]
-                censored += int(np.count_nonzero(hit_cap & inside))
-            keep = ~finish
-            alive = alive[keep]
-            x = x_new[keep]
-            t_acc = t_acc[keep]
-            # end-of-step components and bins are the next step's start
-            comp = comp[keep[inside]]
-            if occ_chunk is not None:
-                slot = slot[keep[inside]]
+                acc += half         # exited paths' registers are stored already
+            capped = t_acc >= cap_time
+            capped[out] = False
+            cens = np.flatnonzero(capped)       # inside at the cap: censored
+            if len(cens):
+                if occ_chunk is not None:
+                    occ_flat[alive[cens] * n_bins + cell[cens]] = acc[cens]
+                censored += len(cens)
+                out = np.concatenate((out, cens))     # every path that finishes
+            if len(out):
+                fin = alive[out]
+                ctau[fin] = t_acc[out]
+                cpos[fin] = x_new[out]
+                keep = np.ones(len(alive), dtype=bool)
+                keep[out] = False
+                alive, x_new, t_acc, cell = alive[keep], x_new[keep], t_acc[keep], cell[keep]
+                if occ_chunk is not None:
+                    acc = acc[keep]
+            x = x_new
         return ctau, cpos, censored
 
     return _run_chunks(config, bins, track_occupation, "euler", walk_chunk)

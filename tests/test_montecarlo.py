@@ -4,7 +4,7 @@ from scipy import integrate
 
 from levygreen import green, models, montecarlo as mc, stable
 from levygreen.geometry import delta, interval_union
-from levygreen.kato import constant_drift, sin_drift
+from levygreen.kato import constant_drift, power_drift, sin_drift
 
 ALPHA = 1.5
 ZERO = constant_drift(0.0)
@@ -118,11 +118,47 @@ def test_bin_index_matches_per_component_lookup():
     assert np.array_equal(_bin_index(bins, x), _bin_index_oracle(bins, x))
 
 
-def _euler_two_lookups(model, b, D, x0, config):
-    """The Euler loop with a fresh bin lookup at both ends of every step."""
+@pytest.mark.parametrize("intervals,width", [
+    ([(-1.0, 1.0)], 0.13),
+    ([(-3.7, -2.05), (-1.9, -0.61)], 0.07),
+    ([(-1.0, -0.3), (0.1, 0.4), (0.6, 1.2)], 0.045),
+], ids=["one", "two-negative", "three"])
+@pytest.mark.parametrize("by_bin", [True, False], ids=["bins", "components"])
+def test_cell_bounds_are_exact(intervals, width, by_bin):
+    # every cell is the float interval [lo, hi] of the positions the Euler
+    # loop's lookup sends to it: lo and hi are in it, and one ulp beyond
+    # either lies in the neighbouring cell or outside the component
+    D = interval_union(*intervals)
+    bins = mc.make_bins(D, width)
+    lo, hi, comp = mc._cell_bounds(bins, by_bin)
+
+    def cell(x):        # bin or component of each position; -1 outside D
+        out = np.full(len(x), -1)
+        inside = D.contains(x)
+        c = mc._component(bins._lookup[0], x[inside])
+        out[inside] = bins._index(c, x[inside]) if by_bin else c
+        return out
+
+    ids = np.arange(bins.n_bins if by_bin else len(intervals))
+    new_comp = np.r_[True, comp[1:] != comp[:-1]]      # a component's first cell
+    assert np.array_equal(comp[new_comp], np.arange(len(intervals)))
+    assert np.array_equal(cell(lo), ids)
+    assert np.array_equal(cell(hi), ids)
+    assert np.array_equal(cell(np.nextafter(lo, -np.inf)), np.where(new_comp, -1, ids - 1))
+    assert np.array_equal(cell(np.nextafter(hi, np.inf)),
+                          np.where(np.r_[new_comp[1:], True], -1, ids + 1))
+
+
+def _euler_two_lookups(pairs, b, D, x0, config, track_occupation=True):
+    """The Euler loop with a fresh bin lookup at both ends of every step.
+
+    pairs lists the (alpha_i, w_i) of the symbol sum_i w_i |xi|^alpha_i;
+    each step draws one public ``sample_stable_increment`` over w_i dt per
+    component, in order.
+    """
     bins = mc.make_bins(D, config.bin_width)
-    draw, alpha = mc._jump_sampler(model)
-    cap_time = mc._CAP_FACTOR * (D.diam / 2.0) ** alpha     # a stable model's cap
+    alpha = max(a for a, _ in pairs)
+    cap_time = mc._CAP_FACTOR * min((D.diam / 2.0) ** a / w for a, w in pairs)
     d_ref = mc._REF_FRAC * D.r0
     d_floor = mc._FLOOR_FRAC * D.r0
 
@@ -137,11 +173,13 @@ def _euler_two_lookups(model, b, D, x0, config):
             dist = np.asarray(delta(D, x), dtype=float)
             dtv = config.dt * np.minimum(
                 np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha
-            occ_chunk[alive, _bin_index_oracle(bins, x)] += 0.5 * dtv
-            x_new = x + np.asarray(b(x), dtype=float) * dtv + draw(rng, dtv, len(alive))
+            if track_occupation:
+                occ_chunk[alive, _bin_index_oracle(bins, x)] += 0.5 * dtv
+            jump = sum(mc.sample_stable_increment(a, w * dtv, rng, len(alive)) for a, w in pairs)
+            x_new = x + np.asarray(b(x), dtype=float) * dtv + jump
             t_acc[alive] += dtv
             out = ~D.contains(x_new)
-            if np.any(~out):
+            if track_occupation and np.any(~out):
                 occ_chunk[alive[~out], _bin_index_oracle(bins, x_new[~out])] += 0.5 * dtv[~out]
             hit_cap = t_acc[alive] >= cap_time
             finish = out | hit_cap
@@ -155,22 +193,42 @@ def _euler_two_lookups(model, b, D, x0, config):
             x = x_new[keep]
         return ctau, cpos, censored
 
-    return mc._run_chunks(config, bins, True, "euler", walk_chunk)
+    return mc._run_chunks(config, bins, track_occupation, "euler", walk_chunk)
 
 
-@pytest.mark.parametrize("case", ["drift", "time-cap"])
+@pytest.mark.parametrize("case", ["drift", "time-cap", "pole", "mixture", "untracked"])
 def test_euler_sample_matches_two_lookup_loop(stable15, monkeypatch, case):
+    three = interval_union((-1.0, -0.3), (0.1, 0.4), (0.6, 1.2))
+    model, pairs, track = stable15, [(ALPHA, 1.0)], True
     if case == "drift":
-        D, b, x0 = interval_union((-1.0, -0.3), (0.1, 0.4), (0.6, 1.2)), sin_drift(1.0, 5.0), 0.2
+        D, b, x0 = three, sin_drift(1.0, 5.0), 0.2
         cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=21, bin_width=0.05)
         monkeypatch.setattr(mc, "_CHUNK", 600)      # two chunks
-    else:
+    elif case == "time-cap":
         D, b, x0 = interval_union((-1.0, 1.0)), ZERO, 0.3
         cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=22, bin_width=0.1)
         monkeypatch.setattr(mc, "_CAP_FACTOR", 0.05)    # a cap of 0.05 on (-1, 1)
-    s = mc._euler_exit(stable15, b, D, x0, cfg)
-    ref = _euler_two_lookups(stable15, b, D, x0, cfg)
-    assert (case == "time-cap") == (ref.censored > 0)
+    elif case == "pole":
+        # the pole at 0.8 lies inside the third component, next to the source
+        D, b, x0 = three, power_drift(0.3, center=0.8, strength=0.6), 0.9
+        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=31, bin_width=0.05)
+    elif case == "mixture":
+        # driftless, so the mixture still takes the Euler loop; its cap is
+        # 0.3 * 1.1^1.2 = 0.336, the alpha 1.2 component's, where a stable
+        # model of the largest index would have 0.3 * 1.1^1.7 = 0.353
+        pairs = [(1.2, 1.0), (1.7, 0.5)]
+        model = models.stable_mixture_model(*zip(*pairs))
+        D, b, x0 = interval_union((-1.3, -0.35), (0.15, 0.9)), ZERO, 0.4
+        cfg = mc.PathConfig(dt=1e-3, n_paths=1500, seed=5, bin_width=0.07)
+        monkeypatch.setattr(mc, "_CAP_FACTOR", 0.3)
+    else:
+        # criterion 8's route: driftless stable paths without occupation
+        D, b, x0, track = interval_union((-1.0, 1.0)), ZERO, 0.0, False
+        cfg = mc.PathConfig(dt=2e-3, n_paths=1200, seed=80)
+        monkeypatch.setattr(mc, "_CHUNK", 600)
+    s = mc._euler_exit(model, b, D, x0, cfg, track_occupation=track)
+    ref = _euler_two_lookups(pairs, b, D, x0, cfg, track_occupation=track)
+    assert (case in ("time-cap", "mixture")) == (ref.censored > 0)
     assert s.censored == ref.censored
     for name in ("tau", "exit_pos", "occupation", "occupation_m2"):
         assert getattr(s, name).tobytes() == getattr(ref, name).tobytes()
@@ -410,7 +468,11 @@ def test_censoring_reported(stable15, unit_interval, monkeypatch):
     s = mc._euler_exit(stable15, ZERO, unit_interval, 0.0, cfg, track_occupation=False)
     assert s.engine == "euler"      # only the stepping engine censors
     assert s.censored > 0
-    assert np.all(s.tau <= 0.05 + 1e-12) | np.any(s.tau > 0)
+    # a censored path reached the cap inside D, and exit_pos holds its last
+    # position; every other path exited
+    inside = unit_interval.contains(s.exit_pos)
+    assert np.count_nonzero(inside) == s.censored
+    assert np.all(s.tau[inside] >= 0.05)
 
 
 _STABLE = models.stable_model(ALPHA)
