@@ -283,9 +283,11 @@ def test_only_the_unit_frequency_integrator_runs_qawf():
 
 
 # scipy modules that only the kernel tables, the Green solves and the
-# quadrature oracles need; each is imported inside the function that uses it,
-# and no levygreen module needs scipy.special
-HEAVY = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.special"]
+# quadrature oracles need, and orjson, which only the CSV writers need; each
+# is imported inside the function that uses it, and no levygreen module needs
+# scipy.special
+HEAVY = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.special",
+         "orjson"]
 COLD_START = """
 import json, sys
 loaded = lambda: [m for m in sys.argv[1:] if m in sys.modules]
@@ -319,8 +321,9 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"import": [], "scipy after mc": [], "mc-walk-on-spheres": [], "mc-euler": [],
-                    "mc-mixture": [], "perturb": ["scipy.linalg"]}
+    assert seen == {"import": [], "scipy after mc": [], "mc-walk-on-spheres": ["orjson"],
+                    "mc-euler": ["orjson"], "mc-mixture": ["orjson"],
+                    "perturb": ["scipy.linalg", "orjson"]}
     for name, engine in (("mc-walk-on-spheres", "walk-on-spheres"), ("mc-euler", "euler"),
                          ("mc-mixture", "euler")):
         assert json.loads((tmp_path / name / "mc_estimates.json").read_text())["engine"] == engine

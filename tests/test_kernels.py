@@ -253,11 +253,11 @@ def test_csv_export(tmp_path, table15):
     # kernels.csv is written by the CLI's CSV helpers: header comments, the
     # column line, then one row per table point
     path = tmp_path / "k.csv"
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         cli._csv_header(fh, "abc")
-        fh.write("r,h,V,M,K,dK\n")
-        cli._write_rows(fh, *map(cli._reprs, (table15.r, table15.h, table15.V,
-                                              table15.M, table15.K, table15.dK)))
+        fh.write(b"r,h,V,M,K,dK\n")
+        fh.write(cli._csv_rows(table15.r, table15.h, table15.V,
+                               table15.M, table15.K, table15.dK))
     lines = path.read_text().splitlines()
     assert lines[0] == "# config_sha256=abc"
     assert lines[2] == "r,h,V,M,K,dK"

@@ -1,8 +1,10 @@
-"""Byte oracles for the row-at-a-time writers of ``perturb``'s and ``kernels``' artifacts.
+"""Byte oracles for the block writers of ``perturb``'s, ``kernels``' and ``mc``'s artifacts.
 
 The oracles are the earlier per-cell loops, kept verbatim: the heatmap of
 ``svgplot.heatmap``, the ``ratios.csv`` rows of ``cli.cmd_perturb`` and the
-``KernelTable.export_csv`` that wrote ``kernels.csv``.
+``KernelTable.export_csv`` that wrote ``kernels.csv``.  Each CSV cell is
+checked against ``repr``, also at the bounds of orjson's notation and on
+random bit patterns, so a change of that notation fails here.
 """
 
 import io
@@ -105,6 +107,23 @@ def test_heatmap_infinite_cell_without_range_raises(tmp_path):
     assert not (tmp_path / "new.svg").exists()
 
 
+# the floats on each side of the bounds 1e-4 and 1e16 of orjson's notation,
+# the zeros, the extremes, NaN and +-inf, with both signs
+_EDGE = np.array([0.0, 5e-324, 2.2250738585072014e-308, np.nextafter(1e-4, 0.0), 1e-4,
+                  np.nextafter(1e-4, 1.0), 9999999999999998.0, 1e16, np.nextafter(1e16, np.inf),
+                  np.finfo(float).max, np.inf, np.nan])
+EDGE_FLOATS = np.concatenate([_EDGE, -_EDGE])
+
+
+def random_floats(rng, size):
+    """Random float64 bit patterns: half with any exponent, half with 2**-20 <= |x| < 2**60."""
+    bits = rng.integers(0, 2**64, size, dtype=np.uint64)
+    near = bits[size // 2:]
+    near &= ~np.uint64(0x7FF << 52)
+    near |= rng.integers(1023 - 20, 1023 + 60, near.size).astype(np.uint64) << np.uint64(52)
+    return bits.view(np.float64)
+
+
 @pytest.mark.parametrize("n", [1, 2, 9])
 def test_ratio_rows_match_per_cell_writer(n):
     rng = np.random.default_rng(n)
@@ -118,22 +137,29 @@ def test_ratio_rows_match_per_cell_writer(n):
     Gt[-1, 0] = -0.0
     Gt[0, -1] = 5e-324
     R = Gt / G
-    old, new = io.StringIO(), io.StringIO()
+    if n > 2:
+        G.flat[-len(EDGE_FLOATS):] = EDGE_FLOATS
+        Gt.flat[:len(EDGE_FLOATS)] = EDGE_FLOATS[::-1]
+        R.flat[30:30 + len(EDGE_FLOATS)] = EDGE_FLOATS
+    old, new = io.StringIO(), io.BytesIO()
     ratios_oracle(old, nodes, G, Gt, R)
     cli._write_grid_rows(new, nodes, G, Gt, R)
-    assert new.getvalue() == old.getvalue()
-    assert new.getvalue().startswith("-0.0,-0.0,1e-05,")
+    assert new.getvalue() == old.getvalue().encode()
+    assert new.getvalue().startswith(b"-0.0,-0.0,1e-05,")
 
 
 def test_rows_writer_matches_per_element_writer():
-    # the exit-law rows of ``mc``: float edges and integer counts
-    edges = np.array([-0.0, 1e-05, 5e-324, 0.1 + 0.2, 2.5])
-    counts = np.array([0, 3, 12345, 7], dtype=np.int64)
-    old, new = io.StringIO(), io.StringIO()
-    for k in range(len(counts)):
-        old.write(f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}\n")
-    cli._write_rows(new, cli._reprs(edges[:-1]), cli._reprs(edges[1:]), cli._reprs(counts))
-    assert new.getvalue() == old.getvalue()
+    # the exit-law rows of ``mc``: float edges and integer counts, here with
+    # the edge floats, the int64 extremes and 1e6 random bit patterns
+    rng = np.random.default_rng(7)
+    edges = np.concatenate([[-0.0, 1e-05, 0.1 + 0.2, 2.5], EDGE_FLOATS,
+                            random_floats(rng, 1_000_000)])
+    counts = rng.integers(-2**63, 2**63, len(edges) - 1, dtype=np.int64)
+    counts[:6] = [0, 3, 12345, 2**63 - 1, -2**63, -1]
+    old = "".join(f"{lo!r},{hi!r},{c!r}\n" for lo, hi, c in
+                  zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
+    assert cli._csv_rows(edges[:-1], edges[1:], counts) == old.encode()
+    assert cli._csv_rows(edges[:0], counts[:0]) == b""
 
 
 @pytest.mark.parametrize("model", [
