@@ -19,14 +19,15 @@ the target stays relative at every x.
 
 A table caches all five kernels on a geometric radius grid and interpolates
 monotonically in log-log coordinates.  ``build_table`` evaluates h, K and dK
-for blocks of radii at once: every radius shares the same scaled nodes
-(dyadic shells in x/r for h; dyadic shells toward u = 0 and u = inf and the
-half-periods of the Fourier tails in the unit frequency u for K and dK), a
-fixed Gauss-Legendre rule sums each panel, and Wynn's epsilon algorithm
-closes each sequence of panel sums, as QUADPACK's QAGS and QAWF do
-(Piessens et al., *QUADPACK*, 1983; Wynn, *MTAC* 10 (1956) 91-96).  A value
-whose error estimate misses the 1e-10 relative target is recomputed by the
-oracle.
+at every radius through the same scaled nodes (dyadic shells in x/r for h;
+dyadic shells toward u = 0 and u = inf and the half-periods of the Fourier
+tails in the unit frequency u for K and dK).  Blocks of 32 radii bound the
+nodes held in memory; a fixed Gauss-Legendre rule sums each panel, giving
+seven sequences of panel sums per radius, and one pass of Wynn's epsilon
+algorithm over all of them closes every sequence of the table, as QUADPACK's
+QAGS and QAWF close theirs (Piessens et al., *QUADPACK*, 1983; Wynn, *MTAC*
+10 (1956) 91-96).  A value whose error estimate misses the 1e-10 relative
+target is recomputed by the oracle.
 
 ``scipy.integrate`` (in ``_quad`` and ``_unit_frequency``) and
 ``scipy.interpolate`` (in ``KernelTable``) load with the first table or
@@ -218,13 +219,14 @@ _U_SIN = _half_period_rule(4.0 * np.pi)     # u from 10 between the zeros of sin
 
 
 def _panel_sum(f, rule):
-    """Integral of f over the panels of ``rule`` and its absolute error estimate.
+    """Partial sums of the integral of f over the panels of ``rule``, and the panel error.
 
     ``f`` holds the integrand at the rule's nodes, shape (rows, panels, 30).
     A panel's error estimate scales the difference of its 20- and 10-point
     sums as QUADPACK's qk21 does, asc * min(1, (200 |diff| / asc)^1.5) with
-    asc the integral of |f - mean f|.  The partial sums over the panels are
-    closed by :func:`_wynn`, whose error adds to the panel errors.
+    asc the integral of |f - mean f|.  Returns the running sums over the
+    panels, shape (rows, panels), and the summed panel errors, shape (rows,);
+    :func:`_wynn` closes the sums, and its error adds to the panel errors.
     """
     _, w20, w10 = rule
     i20 = np.einsum("rpk,pk->rp", f[..., :20], w20)
@@ -233,18 +235,20 @@ def _panel_sum(f, rule):
     asc = np.einsum("rpk,pk->rp", np.abs(f[..., :20] - mean[..., None]), w20)
     diff = np.abs(i20 - i10)
     err = np.where(asc > 0, asc * np.minimum(1.0, (200.0 * diff / asc) ** 1.5), diff)
-    limit, extrap = _wynn(np.cumsum(i20, axis=-1))
-    return limit, extrap + err.sum(axis=-1)
+    return np.cumsum(i20, axis=-1), err.sum(axis=-1)
 
 
 def _wynn(s):
     """Limit of each row of partial sums by Wynn's epsilon algorithm, with an error.
 
-    The candidates are the last entries of the even columns of the epsilon
-    table, column 0 being the partial sums themselves.  A candidate's error
-    is its distance to the two entries above it in its column; each row
-    takes the candidate with the smallest error.  Entries that overflow or
-    divide by zero give no candidate.
+    ``s`` may hold any number of rows in its leading axes; each row's
+    result depends on that row alone, so one call closes every panel
+    sequence of a table.  The candidates are the last entries of the even
+    columns of the epsilon table, column 0 being the partial sums
+    themselves.  A candidate's error is its distance to the two entries
+    above it in its column; each row takes the candidate with the smallest
+    error.  Entries that overflow or divide by zero give no candidate; the
+    caller runs it under ``np.errstate``.
     """
     def last(col):
         return col[..., -1], (np.abs(col[..., -1] - col[..., -2])
@@ -269,37 +273,39 @@ def _batched_kernels(model: LevyModel, r: np.ndarray):
     ``compute_K`` and ``compute_dK``.  An error is infinite where h or K is
     not positive; a non-finite value has a non-finite error.
     """
-    vals = np.empty((3, len(r)))
-    rel = np.empty((3, len(r)))
+    # partial sums and panel errors of the seven panel sequences: the head and
+    # tail of h, the heads of K and dK, the flat tail, the cos and sin tails
+    sums = np.empty((7, len(r), _PANELS))
+    errs = np.empty((7, len(r)))
     # overflow, 0/0 and 1/0 in the nodes or the epsilon table give
     # non-finite errors, which send those radii to the oracle
     with np.errstate(all="ignore"):
-        for lo in range(0, len(r), _BLOCK):
-            x = r[lo:lo + _BLOCK]
-            xb = x[:, None, None]           # broadcasts against (panels, nodes)
+        for lo in range(0, len(r), _BLOCK):     # blocks bound the nodes in memory
+            blk = slice(lo, lo + _BLOCK)
+            xb = r[blk, None, None]             # broadcasts against (panels, nodes)
             t = _H_HEAD[0]
-            head, e_head = _panel_sum(t * t * model.nu(xb * t), _H_HEAD)
-            tail, e_tail = _panel_sum(model.nu(xb * _H_TAIL[0]), _H_TAIL)
-            u = _U_HEAD[0]
+            u, uf, uc, us = _U_HEAD[0], _U_FLAT[0], _U_COS[0], _U_SIN[0]
             g = 1.0 / (xb * model.psi(u / xb))
-            k_head, e_khead = _panel_sum(2.0 * np.sin(0.5 * u) ** 2 * g, _U_HEAD)
-            d_head, e_dhead = _panel_sum(np.sin(u) * u / xb * g, _U_HEAD)
-            u = _U_FLAT[0]
-            flat, e_flat = _panel_sum(1.0 / (xb * model.psi(u / xb)), _U_FLAT)
-            u = _U_COS[0]
-            cos, e_cos = _panel_sum(np.cos(u) / (xb * model.psi(u / xb)), _U_COS)
-            u = _U_SIN[0]
-            sin, e_sin = _panel_sum(np.sin(u) * u / (xb * xb * model.psi(u / xb)), _U_SIN)
+            seqs = ((t * t * model.nu(xb * t), _H_HEAD),
+                    (model.nu(xb * _H_TAIL[0]), _H_TAIL),
+                    (2.0 * np.sin(0.5 * u) ** 2 * g, _U_HEAD),
+                    (np.sin(u) * u / xb * g, _U_HEAD),
+                    (1.0 / (xb * model.psi(uf / xb)), _U_FLAT),
+                    (np.cos(uc) / (xb * model.psi(uc / xb)), _U_COS),
+                    (np.sin(us) * us / (xb * xb * model.psi(us / xb)), _U_SIN))
+            for seq, (f, rule) in enumerate(seqs):
+                sums[seq, blk], errs[seq, blk] = _panel_sum(f, rule)
+        (head, tail, k_head, d_head, flat, cos, sin), extrap = _wynn(sums)
+        e_head, e_tail, e_khead, e_dhead, e_flat, e_cos, e_sin = extrap + errs
 
-            h = 2.0 * x * (head + tail)
-            K = (k_head + flat - cos) / np.pi
-            dK = (d_head + sin) / np.pi
-            vals[:, lo:lo + _BLOCK] = h, K, dK
-            rel[:, lo:lo + _BLOCK] = (
-                np.where(h > 0, 2.0 * x * (e_head + e_tail) / h, np.inf),
-                np.where(K > 0, (e_khead + e_flat + e_cos) / np.pi / K, np.inf),
-                (e_dhead + e_sin) / np.pi / np.abs(dK))
-    return vals, rel
+        h = 2.0 * r * (head + tail)
+        K = (k_head + flat - cos) / np.pi
+        dK = (d_head + sin) / np.pi
+        rel = np.array([
+            np.where(h > 0, 2.0 * r * (e_head + e_tail) / h, np.inf),
+            np.where(K > 0, (e_khead + e_flat + e_cos) / np.pi / K, np.inf),
+            (e_dhead + e_sin) / np.pi / np.abs(dK)])
+    return np.array([h, K, dK]), rel
 
 
 def _kernel_values(model: LevyModel, r: np.ndarray):
@@ -321,12 +327,14 @@ class KernelTable:
     Built by :func:`build_table`; immutable afterwards and safe to share.
     The lookups take positive radii in the tabulated range, since the
     paper's estimates use V, M and K only at positive distances; a radius
-    r <= 0, or one outside the range, raises ``ValueError``.  ``M_at`` alone
-    extends below the grid, by the fitted low-end power law, which the
-    Kato-class machinery needs for shrinking windows.
+    r <= 0, a NaN, or one outside the range, raises ``ValueError``.  ``M_at``
+    alone extends below the grid, by the fitted low-end power law, which the
+    Kato-class machinery needs for shrinking windows.  A lookup costs one
+    interpolation and a few array operations, scalar or array alike.
     ``err`` (shape (3, n)) is the estimated relative error of the batched h,
-    K and dK at each point; where it is above 1e-10 or not finite, the
-    table holds the QUADPACK oracle's value instead.
+    K and dK at each point: the panel errors plus the error of the one
+    epsilon pass that closed the table's panel sequences.  Where it is above
+    1e-10 or not finite, the table holds the QUADPACK oracle's value instead.
     """
 
     def __init__(self, model: LevyModel, r: np.ndarray, h: np.ndarray, V: np.ndarray,
@@ -351,12 +359,13 @@ class KernelTable:
 
     def _eval(self, interp, r, what: str):
         arr = np.asarray(r, dtype=float)
-        if np.any(arr <= 0):
+        if not (arr > 0).all():         # NaN fails too
             raise ValueError(f"{what} requires positive radii")
-        if np.any(arr < self.r[0] * (1 - 1e-12)) or np.any(arr > self.r[-1] * (1 + 1e-12)):
+        if not ((arr >= self.r[0] * (1 - 1e-12)) & (arr <= self.r[-1] * (1 + 1e-12))).all():
             raise ValueError(f"{what}: radius outside tabulated range "
                              f"[{self.r[0]:.3e}, {self.r[-1]:.3e}]")
-        out = np.exp(interp(np.log(np.clip(arr, self.r[0], self.r[-1]))))
+        # onto the grid's ends: the range check above allows a relative 1e-12
+        out = np.exp(interp(np.log(np.minimum(np.maximum(arr, self.r[0]), self.r[-1]))))
         return out if out.ndim else float(out)
 
     def V_at(self, r):
@@ -366,6 +375,8 @@ class KernelTable:
     def M_at(self, r):
         """M at positive radii up to the top of the grid; below r[0], the power law."""
         arr = np.asarray(r, dtype=float)
+        if not (arr < self.r[0]).any():         # nothing below the grid
+            return self._eval(self._M, arr, "M")
         below = (arr > 0) & (arr < self.r[0])
         inner = self._eval(self._M, np.where(below, self.r[0], arr), "M")
         out = np.where(below, self.M[0] * (arr / self.r[0]) ** self._M_slope, inner)

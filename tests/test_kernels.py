@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -61,7 +64,7 @@ def test_V_closed_form_and_zero(table15):
 def test_lookups_refuse_nonpositive_radii(table15):
     # the estimates take V, M and K at positive distances only
     for lookup in (table15.V_at, table15.M_at, table15.K_at):
-        for r in (0.0, -0.7, np.array([0.7, 0.0])):
+        for r in (0.0, -0.7, np.array([0.7, 0.0]), np.nan, np.array([0.7, np.nan])):
             with pytest.raises(ValueError, match="positive radii"):
                 lookup(r)
 
@@ -186,12 +189,16 @@ def test_batched_mixture_table_matches_components_and_oracle():
         assert table.dK[i] == pytest.approx(kernels.compute_dK(m, float(r[i])), rel=1e-9)
 
 
-def test_density_jump_takes_the_oracle_at_the_affected_radii():
+def _density_jump_model():
     # the jump at radius 30 sits inside one dyadic shell of every radius;
     # it spoils the panel rule's error estimate where that shell matters
     s = models.stable_model(ALPHA)
-    m = models.LevyModel("custom", s.psi,
-                         lambda x: s.nu(x) * np.where(np.asarray(x) < 30.0, 1.0, 0.5))
+    return models.LevyModel("custom", s.psi,
+                            lambda x: s.nu(x) * np.where(np.asarray(x) < 30.0, 1.0, 0.5))
+
+
+def test_density_jump_takes_the_oracle_at_the_affected_radii():
+    m = _density_jump_model()
     table = kernels.build_table(m, diam=1.0, points_per_decade=4)
     oracle = ~(table.err[0] <= 1e-10)
     assert 0 < np.count_nonzero(oracle) < len(table.r)
@@ -201,6 +208,71 @@ def test_density_jump_takes_the_oracle_at_the_affected_radii():
     # the symbol is smooth, so K and dK stay on the batched path
     assert np.all(table.err[1:] <= 1e-10)
     assert np.max(np.abs(table.K / (K1 * table.r ** (ALPHA - 1)) - 1.0)) <= 1e-12
+
+
+_SPLIT_MODELS = {
+    "stable": lambda: models.stable_model(ALPHA),
+    "mixture": lambda: models.stable_mixture_model((1.2, 1.8), (1.0, 0.5)),
+    "density-jump": _density_jump_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_MODELS))
+def test_one_epsilon_pass_equals_the_calls_on_a_split(name, monkeypatch):
+    # every radius's values and errors depend on that radius alone, so one
+    # epsilon pass over the whole vector matches the calls on its pieces
+    m = _SPLIT_MODELS[name]()
+    r = np.geomspace(1e-6, 1e2, 80)
+    vals, err = kernels._kernel_values(m, r)
+    pieces = [kernels._kernel_values(m, r[lo:hi])
+              for lo, hi in ((0, 1), (1, 32), (32, 65), (65, len(r)))]
+    assert np.concatenate([v for v, _ in pieces], axis=1).tobytes() == vals.tobytes()
+    assert np.concatenate([e for _, e in pieces], axis=1).tobytes() == err.tobytes()
+    if name == "density-jump":
+        assert 0 < np.count_nonzero(~(err <= 1e-10)) < err.size    # oracle fallbacks
+
+    calls = []
+    wynn = kernels._wynn
+    monkeypatch.setattr(kernels, "_wynn", lambda s: calls.append(s.shape) or wynn(s))
+    kernels.build_table(m, diam=1.0, points_per_decade=8)
+    assert calls == [(7, 64, 40)]
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_MODELS))
+def test_building_a_table_raises_no_floating_point_warning(name):
+    # the nodes and the epsilon table divide by zero and overflow on purpose;
+    # that must stay inside the batched evaluator's errstate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        kernels.build_table(_SPLIT_MODELS[name](), diam=1.0, points_per_decade=8)
+
+
+def test_scalar_lookups_equal_the_array_elements(table15):
+    t = table15
+    x = np.concatenate([t.r[[0, -1]], [t.r[0] * (1 - 1e-13), t.r[-1] * (1 + 1e-13)],
+                        np.geomspace(t.r[0], t.r[-1], 41)[1:-1], [0.3, 1.7]])
+    for lookup in (t.V_at, t.M_at, t.K_at):
+        got = lookup(x)
+        one = [lookup(float(v)) for v in x]
+        assert all(type(v) is float for v in one)
+        assert np.array(one).tobytes() == got.tobytes()
+    # M below and inside the grid in one vector
+    mixed = np.array([1e-3 * t.r[0], 0.3, t.r[0], 0.5 * t.r[0], t.r[-1], 1e-12])
+    got = t.M_at(mixed)
+    assert np.array([t.M_at(float(v)) for v in mixed]).tobytes() == got.tobytes()
+
+
+def test_lookups_refuse_radii_outside_the_grid(table15):
+    t = table15
+    msg = re.escape(f"radius outside tabulated range [{t.r[0]:.3e}, {t.r[-1]:.3e}]")
+    for lookup, what in ((t.V_at, "V"), (t.M_at, "M"), (t.K_at, "K")):
+        for r in (1.01 * t.r[-1], np.array([0.3, 1.01 * t.r[-1]]), np.inf):
+            with pytest.raises(ValueError, match=f"^{what}: {msg}$"):
+                lookup(r)
+    for lookup, what in ((t.V_at, "V"), (t.K_at, "K")):
+        for r in (0.99 * t.r[0], np.array([0.3, 0.99 * t.r[0]])):
+            with pytest.raises(ValueError, match=f"^{what}: {msg}$"):
+                lookup(r)
 
 
 def test_tables_are_bit_identical_across_builds(table15):
