@@ -45,6 +45,27 @@ loops several times faster, and the draw is the largest single cost of an
 Euler step.  Both forms agree to about 1e-13 relative, near u = +-pi/2 and
 for w down to 1e-300 too.
 
+Drifted Euler paths of a ``stable`` model also carry a Dynkin score.  Let v
+be the sum over the components I_j of their closed-form mean exit times
+v_j, each zero off its interval.  Dynkin's formula for the drifted
+generator L + b d applied to v, which vanishes at every exit position,
+gives the identity
+
+    E^x tau = v(x) + E^x int_0^tau (c + b v')(X_s) ds,   c = L v + 1.
+
+On component I_k, L v_k = -1, so c = sum_{j != k} L v_j: the cross rate
+int_{I_j} v_j(y) nu(x - y) dy of jumps into the other components
+(``stable.mean_exit_time_generator``), smooth on the closed component,
+tabulated once per call and 0 on one interval.  Each path sums
+(c + b v')(X_k) h_k beside its elapsed time, with the same steps; the
+score draws no random number, so the paths, exit times and occupations
+are those of an unscored run bit for bit.  ``ExitSample.identity`` holds
+v(x0) + score per path (less v at the last position for a path stopped at
+the cap, whose raw time is tau ^ cap), and ``dynkin_mean_exit_estimate``
+uses it as a control variate for the raw exit times.  Where the drift is
+identically zero or the model is a mixture there is no identity, and the
+estimate is the raw one.
+
 Estimators: mean exit time, occupation-density histograms (the Monte Carlo
 Green function), and the exit law; ``ks_distance`` measures exit positions
 against a reference CDF such as a quadrature exit density's.  Both engines
@@ -55,7 +76,7 @@ This module imports no scipy module, and neither does anything it imports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from numbers import Integral, Real
 from typing import Callable
@@ -75,6 +96,7 @@ __all__ = [
     "simulate_exit",
     "mc_mean_exit_time",
     "mean_exit_estimate",
+    "dynkin_mean_exit_estimate",
     "mc_green",
     "mc_exit_law",
     "exit_histogram",
@@ -85,6 +107,9 @@ _REF_FRAC = 0.25        # boundary distance of full-size Euler steps, in units o
 _FLOOR_FRAC = 1e-6      # smallest boundary distance the Euler steps resolve, in r0
 _CAP_FACTOR = 200.0     # Euler paths stop at 200 x min_i (diam / 2)^alpha_i / w_i
 _CHUNK = 20_000         # paths per chunk, each with its own split seed
+_RATE_STEPS = 1024      # cross-rate table steps per smallest gap of the domain
+_RATE_MAX = 1 << 18     # and at most this many steps over its span
+_SCORE_BLOCK = 8192     # paths per block of the score's passes
 
 
 @dataclass(frozen=True)
@@ -114,7 +139,7 @@ class PathConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Real) or not v > 0:
                 raise ValueError(f"{name} must be a number > 0, got {v!r}")
-        for name, lo in (("n_paths", 1), ("seed", 0)):
+        for name, lo in (("n_paths", 2), ("seed", 0)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral) or v < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
@@ -298,6 +323,8 @@ class ExitSample:
     n_paths: int
     censored: int
     engine: str                     # "euler" or "walk-on-spheres"
+    identity: np.ndarray | None = None  # per path: v(x0) + its Dynkin score (drifted
+                                        # Euler paths of a stable model), else None
 
 
 def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
@@ -391,6 +418,12 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     left, right = np.array(D.intervals).T
     cell_lo, cell_hi, cell_comp = _cell_bounds(bins, track_occupation)
     cell_left, cell_right = left[cell_comp], right[cell_comp]
+    scored = model.family == "stable" and not _is_zero_drift(b)
+    if scored:
+        kappa = stable.exit_time_constant(alpha)
+        add_score, scale = _dynkin_scorer(alpha, D)
+        v0 = sum(stable.mean_exit_time(alpha, iv, x0) for iv in D.intervals)
+        identities = []         # per chunk: each path's v(x0) + score
 
     def walk_chunk(m, rng, occ_chunk):
         censored = 0
@@ -399,6 +432,9 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
         t_acc = np.zeros(m)                 # elapsed time of each alive path
         ctau = np.empty(m)
         cpos = np.empty(m)
+        if scored:
+            score = np.zeros(m)     # sum of (c + b v')(x) dt / scale, the step rule of t_acc
+            cident = np.empty(m)
         # the cell of each alive path: its bin, or its component when occupation
         # is not tracked; the cells' exact bounds make the lookup a search
         cell = np.full(m, np.searchsorted(cell_lo, x0, side="right") - 1)
@@ -406,9 +442,10 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
             occ_flat = occ_chunk.reshape(-1)    # view: path p, bin k at p*n_bins + k
             acc = np.zeros(m)       # occupation of each path's current bin, not yet stored
         while len(alive):
-            dist = np.minimum(x - cell_left[cell], cell_right[cell] - x)
+            dl = x - cell_left[cell]
+            dr = cell_right[cell] - x
             dtv = config.dt * np.minimum(
-                np.maximum(dist, d_floor) / d_ref, 1.0) ** alpha
+                np.maximum(np.minimum(dl, dr), d_floor) / d_ref, 1.0) ** alpha
             if occ_chunk is not None:
                 # trapezoidal attribution in time: half the step at its start,
                 # half at its end if the path is still inside
@@ -417,6 +454,8 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
             bx = np.asarray(b(x), dtype=float)
             if not np.all(np.isfinite(bx)):
                 raise FloatingPointError("drift evaluated to a non-finite value on a path")
+            if scored:
+                add_score(score, x, dl, dr, bx, dtv)
             x_new = x + bx * dtv + draw(rng, dtv, len(alive))
             t_acc += dtv
             stay = cell_lo[cell] <= x_new
@@ -449,13 +488,101 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
                 cpos[fin] = x_new[out]
                 keep = np.ones(len(alive), dtype=bool)
                 keep[out] = False
+                if scored:
+                    cident[fin] = v0 + scale * score[out]
+                    if len(cens):   # stopped inside: the identity of tau ^ cap less v(X)
+                        c = cell[cens]
+                        cident[alive[cens]] -= kappa * (
+                            (x_new[cens] - cell_left[c]) * (cell_right[c] - x_new[cens])
+                        ) ** (0.5 * alpha)
+                    score = score[keep]
                 alive, x_new, t_acc, cell = alive[keep], x_new[keep], t_acc[keep], cell[keep]
                 if occ_chunk is not None:
                     acc = acc[keep]
             x = x_new
+        if scored:
+            identities.append(cident)
         return ctau, cpos, censored
 
-    return _run_chunks(config, bins, track_occupation, "euler", walk_chunk)
+    sample = _run_chunks(config, bins, track_occupation, "euler", walk_chunk)
+    if scored:
+        return replace(sample, identity=np.concatenate(identities))
+    return sample
+
+
+def _cross_rate(alpha: float, D: C11Set) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform nodes over the span of a union of intervals, and c = L v + 1 at each.
+
+    v is the sum of the components' mean exit times, so on a component c is
+    the sum of ``stable.mean_exit_time_generator`` over the others.  c is
+    smooth on the closed component and varies on the scale of the distance
+    to the others, so the step is 1/``_RATE_STEPS`` of the smallest gap (at
+    most ``_RATE_MAX`` steps).  Each node takes the rate of its nearest
+    component, so the nodes just beyond a component's ends continue its c
+    smoothly.
+    """
+    left, right = np.array(D.intervals).T
+    span = right[-1] - left[0]
+    steps = int(min(_RATE_MAX, np.ceil(span * _RATE_STEPS / np.min(left[1:] - right[:-1]))))
+    nodes = np.linspace(left[0], right[-1], steps + 1)
+    nearest = np.searchsorted(0.5 * (right[:-1] + left[1:]), nodes)
+    rate = np.zeros(steps + 1)
+    for j, iv in enumerate(D.intervals):
+        other = nearest != j
+        rate[other] += stable.mean_exit_time_generator(alpha, iv, nodes[other])
+    return nodes, rate
+
+
+def _dynkin_scorer(alpha: float, D: C11Set) -> tuple[Callable, float]:
+    """Adds (c + b v')(x) dt to the paths' scores, and the scale the scores are kept in.
+
+    ``add(score, x, dl, dr, bx, dtv)`` takes in-domain positions x, their
+    distances dl = x - a and dr = b - x to their component's ends, b(x) and
+    the steps.  On component (a, b) with midpoint m,
+    v' = -alpha kappa (x - m) ((x - a)(b - x))^(alpha/2 - 1), kappa the
+    ``exit_time_constant``; the scores are kept in units of the returned
+    scale, so the constant costs no pass.  c comes from the ``_cross_rate``
+    table, interpolated linearly as intercept + slope u in the table
+    coordinate u: the relative error is below 1e-6 at the full step (gaps
+    down to 1/256 of the span) and grows like the squared step below.  On
+    one interval c = 0.  The passes run on blocks of at most
+    ``_SCORE_BLOCK`` paths: on 20 000 paths at once they took about twice
+    as long per path, measured on a 2-core Xeon with 2 MB of L2 per core.
+    """
+    scale = -0.5 * alpha * stable.exit_time_constant(alpha)     # (x - a) - (b - x) = 2 (x - m)
+    power = 0.5 * alpha - 1.0
+    multi = len(D.intervals) > 1
+    if multi:
+        nodes, rate = _cross_rate(alpha, D)
+        rate /= scale
+        slopes = np.append(np.diff(rate), 0.0)      # u rounding up to the last node stays in range
+        intercepts = rate - slopes * np.arange(len(rate))
+        origin, per_step = nodes[0], (len(nodes) - 1) / (nodes[-1] - nodes[0])
+
+    def add(score, x, dl, dr, bx, dtv):
+        if len(x) > _SCORE_BLOCK:
+            for i in range(0, len(x), _SCORE_BLOCK):
+                blk = slice(i, i + _SCORE_BLOCK)
+                add(score[blk], x[blk], dl[blk], dr[blk], bx[blk], dtv[blk])
+            return
+        out = dl * dr
+        np.log(out, out=out)        # exp(power log y): vector loops, pow is not
+        out *= power
+        np.exp(out, out=out)
+        out *= dl - dr
+        out *= bx
+        if multi:
+            u = x - origin
+            u *= per_step
+            k = u.astype(np.intp)
+            c = slopes[k]
+            c *= u
+            c += intercepts[k]
+            out += c
+        out *= dtv
+        score += out
+
+    return add, scale
 
 
 _MAX_SWEEPS = 10_000     # a walk still inside after this many balls is an error
@@ -531,13 +658,44 @@ def _add_ball_occupation(occ_chunk, alive, alpha, bins, comp, x, r, mass) -> Non
 
 def mc_mean_exit_time(model: LevyModel, b: Callable, D: C11Set, x0: float,
                       config: PathConfig) -> McEstimate:
-    return mean_exit_estimate(simulate_exit(model, b, D, x0, config, track_occupation=False))
+    """The mean exit time by ``dynkin_mean_exit_estimate``."""
+    return dynkin_mean_exit_estimate(
+        simulate_exit(model, b, D, x0, config, track_occupation=False))[0]
 
 
 def mean_exit_estimate(s: ExitSample) -> McEstimate:
-    """Mean of the sample's exit times and its standard error."""
+    """Mean of the sample's exit times and its standard error; at least 2 paths."""
+    if s.n_paths < 2:
+        raise ValueError(f"a standard error needs at least 2 paths, got {s.n_paths}")
     return McEstimate(float(np.mean(s.tau)),
                       float(np.std(s.tau, ddof=1) / np.sqrt(s.n_paths)))
+
+
+def dynkin_mean_exit_estimate(s: ExitSample) -> tuple[McEstimate, dict | None]:
+    """The raw exit times with the Dynkin identity as a control variate.
+
+    Each path's estimate is tau - lam (tau - identity); lam = Cov(tau,
+    tau - identity) / Var(tau - identity) from the sample minimises its
+    variance, so the combination is never worse than the raw mean,
+    asymptotically.  Fitting lam takes a degree of freedom, so the
+    combined variance is the residual sum of squares over n - 2.  Returns
+    the estimate and {"lambda": lam, "variance_ratio": raw variance /
+    combined variance}.  A sample without identities (walk on spheres,
+    mixtures, zero drift), or of 2 paths, returns ``mean_exit_estimate``
+    bit for bit and None.  At least 2 paths.
+    """
+    raw = mean_exit_estimate(s)
+    n = s.n_paths
+    if s.identity is None or n < 3:
+        return raw, None
+    diff = s.tau - s.identity
+    diff_c = diff - np.mean(diff)
+    var = float(diff_c @ diff_c)
+    lam = float((s.tau - raw.value) @ diff_c) / var if var > 0.0 else 0.0
+    z = s.tau - lam * diff
+    z_c = z - np.mean(z)
+    est = McEstimate(float(np.mean(z)), float(np.sqrt(z_c @ z_c / (n - 2) / n)))
+    return est, {"lambda": lam, "variance_ratio": (raw.se / est.se) ** 2}
 
 
 def mc_green(model: LevyModel, b: Callable, D: C11Set, x0: float,

@@ -12,16 +12,19 @@ Green function scales like ``R**(alpha-1)``, its gradient like
 ``R**(alpha-2)``, and the Poisson kernel is scale free in the sense that it
 stays a probability density in the exit position.
 
-Two factors are Gauss hypergeometric functions: the incomplete factor of
-the Green function and the centred occupation that each walk-on-spheres
-ball adds.  The Pfaff transformation and the connection formula in
-1/(1-z) turn each into two power series, split so that the argument never
-exceeds 1/2, with coefficients from the hypergeometric term ratios.  Per
-alpha, these are cut by Chebyshev economisation to 13-23 terms and
-cached; Horner's rule evaluates them.  The error is a few 1e-15, growing
-like 1e-15 / (alpha - 1) where the connection formula's two terms cancel
-(see ``_incomplete_factor`` and ``center_occupation``).  Scalar constants
-use ``math.gamma``; the module imports nothing from scipy.
+Three factors are Gauss hypergeometric functions: the incomplete factor of
+the Green function, the centred occupation that each walk-on-spheres ball
+adds, and the generator applied to the mean exit time outside its
+interval, which the Euler paths' Dynkin scores use.  The Pfaff
+transformation and the connection formulas turn each into two power
+series, split so that the argument never exceeds 1/2, with coefficients
+from the hypergeometric term ratios.  Per alpha, these are cut by
+Chebyshev economisation to 13-27 terms and cached; Horner's rule
+evaluates them.  The error is a few 1e-15, growing where the connection
+formula's two terms cancel: like 1e-15 / (alpha - 1) for the first two
+(see ``_incomplete_factor`` and ``center_occupation``), and toward
+alpha = 2 for the third (3e-13 at alpha 1.99).  Scalar constants use
+``math.gamma``; the module imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "kernel_at_one",
     "exit_time_constant",
     "mean_exit_time",
+    "mean_exit_time_generator",
     "center_occupation",
     "green_interval",
     "grad_green_interval",
@@ -95,6 +99,58 @@ def mean_exit_time(alpha: float, interval, x):
     return val if val.ndim else float(val)
 
 
+@lru_cache(maxsize=64)
+def _generator_series(alpha: float):
+    """Per-alpha polynomials of ``mean_exit_time_generator`` and its two constants.
+
+    With a = alpha/2: 2F1(1, a+1; alpha+2; z) and 2F1(1, a+1; 1-a; z) on
+    [0, 1/2] (``_economised``), then the connection formula's constants
+    2 (alpha+1) / alpha and Gamma(alpha+2) Gamma(-a) / Gamma(a+1).
+    """
+    a = alpha / 2.0
+    return (_economised(_hyp_coefficients(1.0, a + 1.0, alpha + 2.0)),
+            _economised(_hyp_coefficients(1.0, a + 1.0, 1.0 - a)),
+            2.0 * (alpha + 1.0) / alpha,
+            math.gamma(alpha + 2.0) * math.gamma(-a) / math.gamma(a + 1.0))
+
+
+def mean_exit_time_generator(alpha: float, interval, x):
+    """The generator applied to an interval's mean exit time, at x outside the closed interval.
+
+    (L v)(x) = int_I v(y) nu(x - y) dy for v = ``mean_exit_time`` on I: the
+    rate of jumps from x into I, weighted by the mean exit time where they
+    land.  It is scale free.  With v = |u| > 1 the unit coordinate of x,
+    a = alpha/2 and the substitution u = 1 - 2t it is
+    C c 2^(alpha+1) B(a+1, a+1) (v-1)^(-a) (v+1)^(-a-1) H(w), w = 2/(v+1),
+    where H(w) = 2F1(1, a+1; alpha+2; w) after the Pfaff transformation
+    (Abramowitz-Stegun 15.3.4), C the jump-density constant and c the
+    ``exit_time_constant``.  H is a polynomial for w <= 1/2; for w > 1/2 the
+    connection formula (15.3.6) gives
+    2 (alpha+1)/alpha 2F1(1, a+1; 1-a; 1-w)
+    + Gamma(alpha+2) Gamma(-a)/Gamma(a+1) (1-w)^a w^(-alpha-1).
+    Against QUADPACK of the exit density integrated over the starting
+    point, the relative error is at most 3e-13 for alpha in [1.01, 1.99]
+    and x from 1e-3 of a half-length off either end to 100 half-lengths away.
+    """
+    _check_alpha(alpha)
+    u, _ = _to_unit(interval, x)
+    v = np.abs(u)
+    if not np.all(v > 1.0):
+        raise ValueError("the generator of the mean exit time is taken outside the closed interval")
+    near, far, A, B = _generator_series(alpha)
+    a = alpha / 2.0
+    w = 2.0 / (v + 1.0)
+    H = np.empty(v.shape)
+    small = w <= 0.5
+    H[small] = _horner(near, w[small])
+    q = (v[~small] - 1.0) / (v[~small] + 1.0)     # 1 - w
+    H[~small] = A * _horner(far, q) + B * q ** a * w[~small] ** (-alpha - 1.0)
+    scale = (levy_density_constant(alpha) * exit_time_constant(alpha) * 2.0 ** (alpha + 1.0)
+             * math.gamma(a + 1.0) ** 2 / math.gamma(alpha + 2.0))
+    out = scale * (v - 1.0) ** -a * (v + 1.0) ** (-a - 1.0) * H
+    return out if out.ndim else float(out)
+
+
 def _green_constant(alpha: float) -> float:
     # prefactor of the hypergeometric interval formula on (-1, 1)
     return 1.0 / (2.0 ** alpha * math.gamma(alpha / 2.0) ** 2)
@@ -132,7 +188,7 @@ def _economised(taylor: np.ndarray) -> np.ndarray:
 
     The series here converge for |z| < 1, so their Chebyshev coefficients on
     [0, 1/2] fall like (3 + sqrt(8))^-n; those below 2^-56 of the largest are
-    dropped, which leaves 13 to 23 of the 60 Taylor terms.  About z = 1/4
+    dropped, which leaves 13 to 27 of the 60 Taylor terms.  About z = 1/4
     the functions converge in a disc of radius 3/4, so the terms of the
     monomial form fall like 3^-k on [0, 1/2] and Horner's rule is stable.
     """

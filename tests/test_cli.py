@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from levygreen import montecarlo as mc
 from levygreen.cli import main
+from levygreen.geometry import interval_union
+from levygreen.kato import drift_from_config
+from levygreen.models import model_from_config
 
 SMALL_CFG = {
     "model": {"family": "stable", "alpha": 1.5},
@@ -179,6 +183,44 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     assert json.loads((out / "mc_estimates.json").read_text())["engine"] == engine
 
 
+@pytest.mark.parametrize("model,drift", [
+    ({"family": "stable", "alpha": 1.5}, {"family": "sin", "amplitude": 1.0, "frequency": 5.0}),
+    ({"family": "stable", "alpha": 1.5}, {"family": "zero"}),
+    ({"family": "stable-mixture", "alphas": [1.2, 1.8], "weights": [1.0, 0.5]},
+     {"family": "constant", "value": 1.0}),
+], ids=["euler-scored", "walk-on-spheres", "mixture"])
+def test_mc_estimates_report_both_estimators(tmp_path, capsys, model, drift):
+    cfg = dict(SMALL_CFG, model=model, drift=drift, source=0.5,
+               domain={"intervals": [[-1.0, -0.2], [0.2, 1.0]]},
+               mc={"paths": 1000, "dt": 0.002, "seed": 3, "bin_width": 0.1})
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["mc", "--config", str(p), "--out", str(out)]) == 0
+    est = json.loads((out / "mc_estimates.json").read_text())
+    assert set(est) == {"config_sha256", "version", "seed", "dt", "paths", "engine",
+                        "mean_exit_time", "mean_exit_time_raw", "dynkin", "censored",
+                        "occupation_total"}
+    # the raw estimate is the independent witness, bit for bit
+    sample = mc.simulate_exit(model_from_config(model), drift_from_config(drift),
+                              interval_union((-1.0, -0.2), (0.2, 1.0)), 0.5,
+                              mc.PathConfig(dt=0.002, n_paths=1000, seed=3, bin_width=0.1))
+    raw = mc.mean_exit_estimate(sample)
+    assert est["mean_exit_time_raw"] == {"value": raw.value, "se": raw.se}
+    combined, dynkin = mc.dynkin_mean_exit_estimate(sample)
+    assert est["mean_exit_time"] == {"value": combined.value, "se": combined.se}
+    assert est["dynkin"] == dynkin
+    if drift["family"] == "sin":
+        assert set(dynkin) == {"lambda", "variance_ratio"}
+        assert dynkin["variance_ratio"] == pytest.approx((raw.se / combined.se) ** 2)
+        assert combined.se < raw.se
+    else:
+        assert dynkin is None and combined == raw
+    assert capsys.readouterr().out == (
+        f"mean exit time {combined.value:.6g} +- {combined.se:.2g} "
+        f"(raw {raw.value:.6g} +- {raw.se:.2g}; {sample.censored} censored)\n")
+
+
 @pytest.mark.parametrize("command,patch", [
     ("mc", {"source": 0.5}),
     ("green", {"source": 0.5}),
@@ -196,6 +238,7 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
     ("green", {"grid": {"checker_grid": 0}}),
     ("green", {"grid": {"three_g_triples": 0}}),
     ("mc", {"mc": {"paths": 100.5}}),
+    ("mc", {"mc": {"paths": 1}}),
     ("mc", {"mc": {"paths": 100, "seed": -1}}),
     ("mc --seed -1", {"mc": {"paths": 100}}),
     ("green --seed -1", {}),
@@ -239,7 +282,7 @@ def test_mc_estimates_name_the_engine(tmp_path, drift, engine):
         "mc-dt-zero", "mc-bin-width-zero", "mc-bin-width-negative", "kernels-model-shape",
         "kernels-grid-flag-zero", "kernels-grid-flag-negative", "perturb-grid-flag-negative",
         "kernels-points-per-decade-zero", "perturb-nodes-zero", "report-nodes-negative",
-        "green-checker-grid-zero", "green-triples-zero", "mc-paths-fraction",
+        "green-checker-grid-zero", "green-triples-zero", "mc-paths-fraction", "mc-paths-one",
         "mc-seed-negative", "mc-seed-flag-negative", "green-seed-flag-negative",
         "kernels-truncated-stable", "kato-truncated-stable", "mc-truncated-stable",
         "kato-drift-bounded-smooth", "mc-drift-power-singularity", "mc-source-boolean",

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
 
-from levygreen import green, models, montecarlo as mc, stable
+from levygreen import green, models, montecarlo as mc, perturbation, stable
 from levygreen.geometry import delta, interval_union
 from levygreen.kato import constant_drift, power_drift, sin_drift
 
@@ -530,3 +532,165 @@ def test_nonfinite_drift_aborts(stable15, unit_interval):
         mc.simulate_exit(stable15, hostile, unit_interval, 0.0,
                          mc.PathConfig(dt=1e-3, n_paths=50, seed=0),
                          track_occupation=False)
+
+
+# Dynkin's identity for L + b d applied to v, the summed interval mean exit
+# times: E tau = v(x0) + E int (c + b v')(X_s) ds with c = L v + 1
+
+README_UNION = ((-1.0, -0.2), (0.2, 1.0))
+THREE = ((-1.0, -0.425), (-0.175, 0.4), (0.65, 1.225))
+
+
+def _nearest_component(D, x):
+    left, right = np.array(D.intervals).T
+    return np.argmin(np.maximum(left - x, x - right))
+
+
+@pytest.mark.parametrize("intervals", [README_UNION, THREE], ids=["readme", "three"])
+@pytest.mark.parametrize("alpha", [1.25, 1.5, 1.75])
+def test_cross_rate_table_matches_exit_density_quadrature(intervals, alpha):
+    # L v_j outside I_j in an independent form: by the Ikeda-Watanabe formula
+    # it is the exit density P_j(y, x) integrated over the start y in I_j
+    D = interval_union(*intervals)
+    nodes, rate = mc._cross_rate(alpha, D)
+    # the two nodes on each side of every end, and 30 more anywhere
+    ends = np.searchsorted(nodes, np.ravel(D.intervals))
+    near_ends = np.clip(ends[:, None] + np.arange(-2, 2), 0, len(nodes) - 1).ravel()
+    pick = np.concatenate([near_ends, np.random.default_rng(5).integers(0, len(nodes), 30)])
+    for i in pick:
+        x = nodes[i]
+        k = _nearest_component(D, x)
+        ref = sum(integrate.quad(lambda y: stable.poisson_interval(alpha, iv, y, x), *iv,
+                                 epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                  for j, iv in enumerate(D.intervals) if j != k)
+        assert rate[i] == pytest.approx(ref, rel=1e-8, abs=0.0), (i, x)
+
+
+@pytest.mark.parametrize("intervals", [README_UNION, THREE, ((-1.0, 1.0),)],
+                         ids=["readme", "three", "one"])
+def test_dynkin_scorer_adds_c_plus_b_dv(intervals):
+    # c interpolated from its table to 1e-6 of the closed form, and v' of the
+    # path's component against central differences of the mean exit time
+    alpha = 1.6
+    D = interval_union(*intervals)
+    add, scale = mc._dynkin_scorer(alpha, D)
+    left, right = np.array(D.intervals).T
+    rng = np.random.default_rng(8)
+    x = np.concatenate([np.r_[rng.uniform(a, b, 4000), np.nextafter([a, b], [b, a])]
+                        for a, b in D.intervals])
+    comp = np.searchsorted(left, x, side="right") - 1
+    dl, dr = x - left[comp], right[comp] - x
+    c = np.zeros(len(x))
+    add(c, x, dl, dr, np.zeros(len(x)), np.ones(len(x)))
+    c *= scale
+    exact = np.zeros(len(x))
+    for j, iv in enumerate(D.intervals):
+        exact[comp != j] += stable.mean_exit_time_generator(alpha, iv, x[comp != j])
+    if len(intervals) == 1:
+        assert not np.any(c)
+    else:
+        assert np.max(np.abs(c / exact - 1.0)) <= 1e-6
+    score = np.zeros(len(x))
+    bx = rng.uniform(-2.0, 2.0, len(x))
+    dtv = rng.uniform(1e-4, 1e-3, len(x))
+    add(score, x, dl, dr, bx, dtv)
+    dv = (scale * score / dtv - c) / bx
+    inner = np.minimum(dl, dr) > 1e-3
+    h = 1e-6
+
+    def v(z):
+        return sum(stable.mean_exit_time(alpha, iv, z) for iv in D.intervals)
+
+    fd = (v(x[inner] + h) - v(x[inner] - h)) / (2.0 * h)
+    assert np.allclose(dv[inner], fd, rtol=1e-6, atol=1e-8)
+
+
+def _nystrom_mean_exit(alpha, D, b, x0, nodes=640):
+    G = green.numeric_table_green(alpha, D, nodes_per_component=nodes)
+    grid = perturbation.build_grid(D, nodes, alpha)
+    return float(perturbation.solve_perturbed(G, b, grid).row(x0) @ grid.weights)
+
+
+@pytest.mark.parametrize("case", ["sin", "pole"])
+def test_combined_mean_exit_time_matches_nystrom(case):
+    D = interval_union(*README_UNION)
+    if case == "sin":
+        alpha, b, x0 = 1.5, sin_drift(1.0, 5.0), 0.5
+    else:       # the pole at 0.6 lies inside the source's component
+        alpha, b, x0 = 1.75, power_drift(0.375, center=0.6, strength=0.6), 0.4
+    s = mc.simulate_exit(models.stable_model(alpha), b, D, x0,
+                         mc.PathConfig(dt=5e-4, n_paths=10_000, seed=3),
+                         track_occupation=False)
+    est, dynkin = mc.dynkin_mean_exit_estimate(s)
+    raw = mc.mean_exit_estimate(s)
+    ref = _nystrom_mean_exit(alpha, D, b, x0)
+    assert abs(est.value - ref) <= 4.0 * est.se, (est, ref)
+    assert abs(raw.value - ref) <= 4.0 * raw.se, (raw, ref)
+    assert dynkin["variance_ratio"] > 10.0
+    assert mc.mc_mean_exit_time(models.stable_model(alpha), b, D, x0,
+                                mc.PathConfig(dt=5e-4, n_paths=10_000, seed=3)) == est
+
+
+@pytest.mark.parametrize("alpha,intervals,x0,drift", [
+    (1.45, ((-1.0, -0.2), (0.2, 1.0)), 0.48, sin_drift(1.0, 5.0)),
+    (1.25, THREE, 0.1125, constant_drift(1.0)),
+    (1.75, ((-1.0, -0.2), (0.2, 1.0)), -0.68, power_drift(0.375, center=0.6, strength=0.6)),
+    (1.4, ((-1.0, -0.2), (0.2, 1.0)), 0.68, constant_drift(1.0)),
+], ids=["a-sin", "b-constant-three", "c-power", "d-constant"])
+def test_combined_se_is_at_most_the_raw_se(alpha, intervals, x0, drift):
+    # perturb-crosscheck-like configs, with bins as the mc command keeps them
+    s = mc.simulate_exit(models.stable_model(alpha), drift, interval_union(*intervals), x0,
+                         mc.PathConfig(dt=5e-4, n_paths=4000, seed=11, bin_width=0.1))
+    est, dynkin = mc.dynkin_mean_exit_estimate(s)
+    raw = mc.mean_exit_estimate(s)
+    assert est.se <= raw.se
+    assert dynkin["variance_ratio"] == (raw.se / est.se) ** 2
+    z = s.tau - dynkin["lambda"] * (s.tau - s.identity)
+    assert est.value == pytest.approx(z.mean(), rel=1e-14)
+    assert est.se == pytest.approx(np.std(z, ddof=2) / np.sqrt(s.n_paths), rel=1e-12)
+    assert dynkin["variance_ratio"] > 3.0
+
+
+@pytest.mark.parametrize("route", ["walk-on-spheres", "mixture", "zero-drift-euler"])
+def test_unscored_samples_report_the_raw_estimate(stable15, route):
+    D = interval_union(*README_UNION)
+    cfg = mc.PathConfig(dt=2e-3, n_paths=2000, seed=4)
+    if route == "walk-on-spheres":
+        s = mc.simulate_exit(stable15, ZERO, D, 0.5, cfg, track_occupation=False)
+    elif route == "mixture":
+        s = mc.simulate_exit(models.stable_mixture_model([1.2, 1.8], [1.0, 0.5]),
+                             sin_drift(1.0, 5.0), D, 0.5, cfg, track_occupation=False)
+    else:
+        s = mc._euler_exit(stable15, ZERO, D, 0.5, cfg, track_occupation=False)
+    assert s.identity is None
+    est, dynkin = mc.dynkin_mean_exit_estimate(s)
+    raw = mc.mean_exit_estimate(s)
+    assert dynkin is None
+    assert (est.value, est.se) == (raw.value, raw.se)
+    assert np.float64(est.value).tobytes() == np.float64(raw.value).tobytes()
+
+
+def test_censored_paths_score_the_stopped_identity(stable15, monkeypatch):
+    # a path stopped at the cap inside D scores E[tau ^ cap] = v(x0) - E v(X)
+    # + E int (c + b v'): without the - v(X) term the identities' mean sits
+    # 0.45 above the mean of the capped times (3000 of 4000 paths capped)
+    monkeypatch.setattr(mc, "_CAP_FACTOR", 0.3)     # a cap of 0.3 on (-1, 1)
+    s = mc._euler_exit(stable15, sin_drift(1.0, 5.0), interval_union((-1.0, 1.0)), 0.0,
+                       mc.PathConfig(dt=1e-3, n_paths=4000, seed=6), track_occupation=False)
+    assert s.censored > 1000
+    diff = s.tau - s.identity
+    assert abs(diff.mean()) <= 4.0 * diff.std(ddof=1) / np.sqrt(s.n_paths)
+
+
+def test_estimators_need_two_paths(stable15):
+    with pytest.raises(ValueError, match="n_paths must be an integer >= 2"):
+        mc.PathConfig(dt=1e-3, n_paths=1)
+    s = mc.simulate_exit(stable15, sin_drift(1.0, 5.0), interval_union((-1.0, 1.0)), 0.0,
+                         mc.PathConfig(dt=1e-3, n_paths=2, seed=0), track_occupation=False)
+    # with 2 paths the fitted lambda leaves the residuals no degree of freedom
+    assert mc.dynkin_mean_exit_estimate(s) == (mc.mean_exit_estimate(s), None)
+    one = dataclasses.replace(s, tau=s.tau[:1], exit_pos=s.exit_pos[:1],
+                              identity=s.identity[:1], n_paths=1)
+    for estimator in (mc.mean_exit_estimate, mc.dynkin_mean_exit_estimate):
+        with pytest.raises(ValueError, match="at least 2 paths"):
+            estimator(one)
