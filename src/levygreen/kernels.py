@@ -18,16 +18,21 @@ dK take their split from ``_unit_frequency``, whose one QAWF call
 the target stays relative at every x.
 
 A table caches all five kernels on a geometric radius grid and interpolates
-monotonically in log-log coordinates.  ``build_table`` evaluates h, K and dK
-at every radius through the same scaled nodes (dyadic shells in x/r for h;
-dyadic shells toward u = 0 and u = inf and the half-periods of the Fourier
-tails in the unit frequency u for K and dK).  Blocks of 32 radii bound the
-nodes held in memory; a fixed Gauss-Legendre rule sums each panel, giving
-seven sequences of panel sums per radius, and one pass of Wynn's epsilon
-algorithm over all of them closes every sequence of the table, as QUADPACK's
-QAGS and QAWF close theirs (Piessens et al., *QUADPACK*, 1983; Wynn, *MTAC*
-10 (1956) 91-96).  A value whose error estimate misses the 1e-10 relative
-target is recomputed by the oracle.
+monotonically in log-log coordinates.  The batched evaluator takes h, K and
+dK at every radius it is given through the same scaled nodes (dyadic shells
+in x/r for h; dyadic shells toward u = 0 and u = inf and the half-periods of
+the Fourier tails in the unit frequency u for K and dK).  Blocks of 32 radii
+bound the nodes held in memory; a fixed Gauss-Legendre rule sums each panel,
+giving seven sequences of panel sums per radius, and one pass of Wynn's
+epsilon algorithm over all of them closes every sequence of the table, as
+QUADPACK's QAGS and QAWF close theirs (Piessens et al., *QUADPACK*, 1983;
+Wynn, *MTAC* 10 (1956) 91-96).  A value whose error estimate misses the
+1e-10 relative target is recomputed by the oracle.  The stable process is
+self-similar, h(r) = h(1) r^-alpha, K(x) = K(1) x^(alpha-1) and
+dK(x) = dK(1) x^(alpha-2), so a ``stable`` table runs that evaluation at
+r = 1 alone and scales it to the grid; its values lie within 2e-14
+relative of the per-radius evaluation, which every other model still
+takes.
 
 ``scipy.integrate`` (in ``_quad`` and ``_unit_frequency``) and
 ``scipy.interpolate`` (in ``KernelTable``) load with the first table or
@@ -40,7 +45,7 @@ import warnings
 
 import numpy as np
 
-from .models import LevyModel
+from .models import LevyModel, stable_index
 
 __all__ = [
     "KernelQuadratureError",
@@ -335,6 +340,9 @@ class KernelTable:
     K and dK at each point: the panel errors plus the error of the one
     epsilon pass that closed the table's panel sequences.  Where it is above
     1e-10 or not finite, the table holds the QUADPACK oracle's value instead.
+    A ``stable`` table scales its values from r = 1, so each row of ``err``
+    repeats the r = 1 estimate, and where that estimate misses 1e-10 the
+    whole row is the oracle's r = 1 value scaled.
     """
 
     def __init__(self, model: LevyModel, r: np.ndarray, h: np.ndarray, V: np.ndarray,
@@ -392,12 +400,24 @@ def build_table(model: LevyModel, diam: float = 1.0,
     """Tabulate the kernel hierarchy on a geometric grid of radii 1e-6 diam to 1e2 diam.
 
     h, K and dK come from the batched panel sums; a value whose estimated
-    relative error misses 1e-10 is recomputed by the QUADPACK oracle.
+    relative error misses 1e-10 is recomputed by the QUADPACK oracle.  A
+    ``stable`` model (``models.stable_index``) is exactly self-similar, so
+    its table evaluates h, K and dK at r = 1 alone and multiplies them by
+    r^-alpha, r^(alpha-1) and r^(alpha-2); every radius takes the r = 1
+    error estimate, since relative errors do not depend on the scale.  Any
+    other model is evaluated at every radius.
     """
     r_lo, r_hi = 1e-6 * diam, 1e2 * diam
     n = max(8, int(round(points_per_decade * np.log10(r_hi / r_lo))))
     r = np.geomspace(r_lo, r_hi, n)
-    vals, err = _kernel_values(model, r)
+    try:
+        alpha = stable_index(model)
+    except ValueError:
+        vals, err = _kernel_values(model, r)
+    else:
+        one, err = _kernel_values(model, np.ones(1))
+        vals = one * np.array([r ** -alpha, r ** (alpha - 1.0), r ** (alpha - 2.0)])
+        err = np.repeat(err, n, axis=1)
     h, K, dK = vals
     V = 1.0 / np.sqrt(h)
     M = V ** 2 / r ** 2
@@ -414,11 +434,13 @@ def check_table_invariants(table: KernelTable) -> dict:
     grid pair when there are at most 400 000 of them, otherwise a sample of
     200 000 pairs drawn with seed 0.
     The table's h, K and dK at its first, middle and last radius must also
-    match the QUADPACK oracle to a relative 1e-8.
+    match the QUADPACK oracle to a relative 1e-8; for a ``stable`` table,
+    scaled from r = 1, the two ends, eight decades apart, check the scaling.
     Returns a report dict with one boolean per invariant plus the empirical
     constants the theory leaves unquantified and the quadrature diagnostics:
     the oracle difference, the largest estimated relative error of the
-    batched values the table kept, and how many values the oracle replaced.
+    batched values the table kept, and how many values the oracle replaced
+    (for a ``stable`` table, the scaled r = 1 values: a whole row or none).
     """
     r, h, V, K, dK, M = table.r, table.h, table.V, table.K, table.dK, table.M
     rep: dict = {}

@@ -64,7 +64,8 @@ v(x0) + score per path (less v at the last position for a path stopped at
 the cap, whose raw time is tau ^ cap), and ``dynkin_mean_exit_estimate``
 uses it as a control variate for the raw exit times.  Where the drift is
 identically zero or the model is a mixture there is no identity, and the
-estimate is the raw one.
+estimate is the raw one.  ``mc_exit_law`` reads no identity, so its paths
+carry no score.
 
 Estimators: mean exit time, occupation-density histograms (the Monte Carlo
 Green function), and the exit law; ``ks_distance`` measures exit positions
@@ -328,13 +329,16 @@ class ExitSample:
 
 
 def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
-                  config: PathConfig, track_occupation: bool = True) -> ExitSample:
+                  config: PathConfig, track_occupation: bool = True, *,
+                  _identity: bool = True) -> ExitSample:
     """Simulate exit paths from x0, by walk on spheres where it is exact.
 
     The driftless stable process takes the walk on spheres; every other
     input (a drift, a stable mixture) takes the boundary-adaptive Euler
     loop.  No setting chooses the engine.  Any family but ``stable`` and
-    ``stable-mixture`` raises ``ValueError``.
+    ``stable-mixture`` raises ``ValueError``.  ``_identity=False`` (for
+    callers that never read ``ExitSample.identity``) skips the Dynkin score;
+    the paths are the same bit for bit.
     """
     if not D.contains(x0):
         raise ValueError("starting point must lie inside the domain")
@@ -345,7 +349,7 @@ def simulate_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
             pass        # no closed-form ball laws: Euler below
         else:
             return _walk_on_spheres(alpha, D, x0, config, track_occupation)
-    return _euler_exit(model, b, D, x0, config, track_occupation)
+    return _euler_exit(model, b, D, x0, config, track_occupation, identity=_identity)
 
 
 def _is_zero_drift(b: Callable) -> bool:
@@ -400,12 +404,15 @@ def _run_chunks(config: PathConfig, bins: BinGrid, track_occupation: bool, engin
 
 
 def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
-                config: PathConfig, track_occupation: bool = True) -> ExitSample:
+                config: PathConfig, track_occupation: bool = True,
+                identity: bool = True) -> ExitSample:
     """Drift substep then exact jump, with boundary-adaptive step sizes.
 
     Exit is declared at the first post-step position outside the domain;
     because steps shrink with the boundary distance, the recorded position
-    and time carry only a relative-in-scale discretization error.
+    and time carry only a relative-in-scale discretization error.  Drifted
+    paths of a ``stable`` model carry the Dynkin score unless ``identity``
+    is False.
     """
     bins = make_bins(D, config.bin_width)
     draw, alpha = _jump_sampler(model)
@@ -418,7 +425,7 @@ def _euler_exit(model: LevyModel, b: Callable, D: C11Set, x0: float,
     left, right = np.array(D.intervals).T
     cell_lo, cell_hi, cell_comp = _cell_bounds(bins, track_occupation)
     cell_left, cell_right = left[cell_comp], right[cell_comp]
-    scored = model.family == "stable" and not _is_zero_drift(b)
+    scored = identity and model.family == "stable" and not _is_zero_drift(b)
     if scored:
         kappa = stable.exit_time_constant(alpha)
         add_score, scale = _dynkin_scorer(alpha, D)
@@ -726,11 +733,12 @@ def ks_distance(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) ->
 
 def mc_exit_law(model: LevyModel, b: Callable, D: C11Set, x0: float,
                 config: PathConfig) -> dict:
-    """Exit-position histogram, boundary hits and the sample.
+    """Exit-position histogram, boundary hits and the sample (without identities).
 
     The KS distance to a reference law is ``ks_distance(law["sample"].exit_pos, cdf)``.
     """
-    return _exit_law(simulate_exit(model, b, D, x0, config, track_occupation=False), D)
+    return _exit_law(simulate_exit(model, b, D, x0, config, track_occupation=False,
+                                   _identity=False), D)
 
 
 def exit_histogram(exit_pos: np.ndarray, D: C11Set) -> tuple[np.ndarray, np.ndarray]:

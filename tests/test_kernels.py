@@ -168,13 +168,52 @@ def test_table_invariants_catch_a_value_off_the_oracle(table15):
 
 @pytest.mark.parametrize("alpha", [1.15, 1.2, 1.5, 1.8, 1.9])
 def test_batched_stable_table_matches_closed_forms(alpha):
-    table = kernels.build_table(models.stable_model(alpha), diam=1.0, points_per_decade=16)
+    # a stable table scales its r = 1 values, so the batched evaluator is
+    # checked at every radius of the grid on its own, and the table beside it
+    m = models.stable_model(alpha)
+    table = kernels.build_table(m, diam=1.0, points_per_decade=16)
     r, k1 = table.r, stable.kernel_at_one(alpha)
-    assert np.all(table.err <= 1e-10)           # no value came from the oracle
-    for got, want in ((table.h, stable.h_constant(alpha) * r ** -alpha),
-                      (table.K, k1 * r ** (alpha - 1.0)),
-                      (table.dK, (alpha - 1.0) * k1 * r ** (alpha - 2.0))):
-        assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    per_radius = kernels._kernel_values(m, r)
+    for (h, K, dK), err in (per_radius, ((table.h, table.K, table.dK), table.err)):
+        assert np.all(err <= 1e-10)             # no value came from the oracle
+        for got, want in ((h, stable.h_constant(alpha) * r ** -alpha),
+                          (K, k1 * r ** (alpha - 1.0)),
+                          (dK, (alpha - 1.0) * k1 * r ** (alpha - 2.0))):
+            assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [1.15, 1.5, 1.9])
+def test_stable_table_scales_its_unit_radius_values(alpha):
+    m = models.stable_model(alpha)
+    table = kernels.build_table(m, diam=2.0, points_per_decade=32)
+    one, err = kernels._kernel_values(m, np.ones(1))
+    r = table.r
+    for got, value, power in ((table.h, one[0, 0], -alpha), (table.K, one[1, 0], alpha - 1.0),
+                              (table.dK, one[2, 0], alpha - 2.0)):
+        assert got.tobytes() == (value * r ** power).tobytes()
+    assert table.err.tobytes() == np.repeat(err, len(r), axis=1).tobytes()
+
+
+def test_stable_table_scales_the_oracle_where_r1_misses_the_target(monkeypatch):
+    # forced misses at r = 1 send h and dK there to the oracle; the table
+    # scales the oracle's values and reports every scaled point as a fallback
+    m = models.stable_model(ALPHA)
+    batched = kernels._batched_kernels
+
+    def miss(model, r):
+        vals, err = batched(model, r)
+        err[[0, 2]] = 1e-9
+        return vals, err
+
+    monkeypatch.setattr(kernels, "_batched_kernels", miss)
+    table = kernels.build_table(m, diam=1.0, points_per_decade=8)
+    r = table.r
+    assert table.h.tobytes() == (kernels.compute_h(m, 1.0) * r ** -ALPHA).tobytes()
+    assert table.dK.tobytes() == (kernels.compute_dK(m, 1.0) * r ** (ALPHA - 2.0)).tobytes()
+    assert table.K.tobytes() == (batched(m, np.ones(1))[0][1, 0] * r ** (ALPHA - 1.0)).tobytes()
+    rep = kernels.check_table_invariants(table)
+    assert rep["scalar_fallbacks"] == 2 * len(r)
+    assert rep["all_pass"] and rep["max_est_rel_err"] == table.err[1, 0] <= 1e-10
 
 
 def test_batched_mixture_table_matches_components_and_oracle():
@@ -231,11 +270,21 @@ def test_one_epsilon_pass_equals_the_calls_on_a_split(name, monkeypatch):
     if name == "density-jump":
         assert 0 < np.count_nonzero(~(err <= 1e-10)) < err.size    # oracle fallbacks
 
+    # a stable table takes its one pass at r = 1 alone
     calls = []
     wynn = kernels._wynn
     monkeypatch.setattr(kernels, "_wynn", lambda s: calls.append(s.shape) or wynn(s))
     kernels.build_table(m, diam=1.0, points_per_decade=8)
-    assert calls == [(7, 64, 40)]
+    assert calls == [(7, 1 if name == "stable" else 64, 40)]
+
+
+@pytest.mark.parametrize("name", ["mixture", "density-jump"])
+def test_other_tables_are_the_per_radius_values(name):
+    m = _SPLIT_MODELS[name]()
+    table = kernels.build_table(m, diam=1.0, points_per_decade=8)
+    vals, err = kernels._kernel_values(m, table.r)
+    assert np.array([table.h, table.K, table.dK]).tobytes() == vals.tobytes()
+    assert table.err.tobytes() == err.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_SPLIT_MODELS))

@@ -694,3 +694,23 @@ def test_estimators_need_two_paths(stable15):
     for estimator in (mc.mean_exit_estimate, mc.dynkin_mean_exit_estimate):
         with pytest.raises(ValueError, match="at least 2 paths"):
             estimator(one)
+
+
+def test_exit_law_samples_skip_the_score(stable15, monkeypatch):
+    # the exit law reads no identity, so its paths carry no score; the score
+    # draws no random number, so the paths are those of a scored run
+    D, b = interval_union(*README_UNION), sin_drift(1.0, 5.0)
+    cfg = mc.PathConfig(dt=1e-3, n_paths=3000, seed=8)
+    scored = mc.simulate_exit(stable15, b, D, 0.5, cfg, track_occupation=False)
+    assert scored.identity is not None
+
+    def refuse(alpha, D):
+        raise AssertionError("the exit law scored its paths")
+
+    monkeypatch.setattr(mc, "_dynkin_scorer", refuse)
+    s = mc.mc_exit_law(stable15, b, D, 0.5, cfg)["sample"]
+    assert s.identity is None and s.censored == scored.censored
+    assert s.tau.tobytes() == scored.tau.tobytes()
+    assert s.exit_pos.tobytes() == scored.exit_pos.tobytes()
+    with pytest.raises(AssertionError, match="scored its paths"):
+        mc.mc_green(stable15, b, D, 0.5, cfg)
