@@ -10,7 +10,10 @@ when beta stays below the kernel exponent (power counting at the pole).
 The supremum is taken over a translate grid that always includes the
 declared singular points, where spiky drifts attain it.  A drift from a
 user function is ``DriftField(func, label=...)``.  ``scipy.integrate`` loads
-with the first windowed integral, so building a drift does not load it.
+with the first QUADPACK window at a declared pole, whose callbacks take
+scalar ``KernelTable.M_at`` lookups at a few microseconds each; a drift
+without singular points, such as a constant or sin drift, is certified by
+the vectorized sweep alone and never loads it.
 """
 
 from __future__ import annotations

@@ -34,18 +34,27 @@ r = 1 alone and scales it to the grid; its values lie within 2e-14
 relative of the per-radius evaluation, which every other model still
 takes.
 
-``scipy.integrate`` (in ``_quad`` and ``_unit_frequency``) and
-``scipy.interpolate`` (in ``KernelTable``) load with the first table or
-oracle call, not with the module.
+A table interpolates log V, log M and log K in log r by monotone cubics
+whose pieces it computes and evaluates itself, so a lookup costs one
+interpolation, a few microseconds for one Python float.  Its invariant
+check compares a ``stable`` table with the closed forms of ``stable.py``
+and any other table with the QUADPACK oracles; either check runs
+QUADPACK for h at the middle radius.  ``scipy.integrate`` (in ``_quad``
+and ``_unit_frequency``) loads with the first oracle call: a table's
+check, a value that misses its target, or the exact subadditivity check
+of a non-stable table.  A ``stable`` table whose r = 1 values meet their
+target is built and looked up without any scipy module.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 
 from .models import LevyModel, stable_index
+from .stable import h_constant, kernel_at_one
 
 __all__ = [
     "KernelQuadratureError",
@@ -194,6 +203,21 @@ def compute_dK(model: LevyModel, x: float) -> float:
 _ORACLES = (compute_h, compute_K, compute_dK)     # h, K, dK at one radius
 
 
+def _closed_forms(model: LevyModel, x: np.ndarray):
+    """h, K and dK of a ``stable`` model at the radii x, shape (3, len(x)); else None.
+
+    The closed forms are ``stable.h_constant`` and ``stable.kernel_at_one``
+    times powers of x; no other family has them (``models.stable_index``).
+    """
+    try:
+        alpha = stable_index(model)
+    except ValueError:
+        return None
+    k1 = kernel_at_one(alpha)
+    return np.array([h_constant(alpha) * x ** -alpha, k1 * x ** (alpha - 1.0),
+                     (alpha - 1.0) * k1 * x ** (alpha - 2.0)])
+
+
 def _panel_rule(edges):
     """Nodes and weights of the 20- and 10-point Gauss-Legendre rules on each panel.
 
@@ -326,6 +350,45 @@ def _kernel_values(model: LevyModel, r: np.ndarray):
     return vals, err
 
 
+def _pchip_end(h0, h1, m0, m1):
+    """End derivative of :func:`_pchip_pieces`: the one-sided three-point estimate, shape-kept."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_pieces(x, y):
+    """Coefficients of the monotone cubic (PCHIP) interpolant of y on the knots x.
+
+    The derivative at an inner knot is the weighted harmonic mean of the two
+    neighbouring slopes, or 0 where they differ in sign or one vanishes
+    (Fritsch and Carlson, *SIAM J. Numer. Anal.* 17 (1980) 238-246); at an
+    end it is the shape-kept three-point estimate of Moler, *Numerical
+    Computing with MATLAB*, 3.6.  Row k of the result, shape (4, len(x) - 1),
+    multiplies (t - x_i)^(3 - k) on piece i: the layout and the arithmetic
+    of ``scipy.interpolate.PchipInterpolator``, whose coefficients these are
+    bit for bit.
+    """
+    if not np.isfinite(y).all():
+        raise ValueError("a kernel table interpolates finite logarithms only")
+    hk = np.diff(x)
+    mk = np.diff(y) / hk
+    smk = np.sign(mk)
+    flat = (smk[1:] != smk[:-1]) | (mk[1:] == 0) | (mk[:-1] == 0)
+    w1 = 2 * hk[1:] + hk[:-1]
+    w2 = hk[1:] + 2 * hk[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):     # masked by ``flat``
+        whmean = (w1 / mk[:-1] + w2 / mk[1:]) / (w1 + w2)
+        dk = np.concatenate([[_pchip_end(hk[0], hk[1], mk[0], mk[1])],
+                             np.where(flat, 0.0, 1.0 / whmean),
+                             [_pchip_end(hk[-1], hk[-2], mk[-1], mk[-2])]])
+    t = (dk[:-1] + dk[1:] - 2 * mk) / hk
+    return np.stack((t / hk, (mk - dk[:-1]) / hk - t, dk[:-1], y[:-1]))
+
+
 class KernelTable:
     """Write-once grid of the kernel hierarchy with log-log interpolation.
 
@@ -334,8 +397,16 @@ class KernelTable:
     paper's estimates use V, M and K only at positive distances; a radius
     r <= 0, a NaN, or one outside the range, raises ``ValueError``.  ``M_at``
     alone extends below the grid, by the fitted low-end power law, which the
-    Kato-class machinery needs for shrinking windows.  A lookup costs one
-    interpolation and a few array operations, scalar or array alike.
+    Kato-class machinery needs for shrinking windows.  log V, log M and
+    log K are monotone cubics in log r (:func:`_pchip_pieces`), and a lookup
+    costs one interpolation: a binary search for the piece, the
+    ascending-power sum of its cubic in the order ``scipy``'s ``PPoly``
+    sums it, and ``np.log``/``np.exp``.  A Python-float radius takes the
+    same steps in Python floats, a few microseconds for the QUADPACK
+    callbacks of ``kato``, and in the grid returns the float the array path
+    returns.  Below the grid it takes numpy's scalar power, as a 0-d array
+    does, which is within two units in the last place of the vector power
+    an array takes there.
     ``err`` (shape (3, n)) is the estimated relative error of the batched h,
     K and dK at each point: the panel errors plus the error of the one
     epsilon pass that closed the table's panel sequences.  Where it is above
@@ -356,43 +427,92 @@ class KernelTable:
         self.dK = dK
         self.diam = diam
         self.err = err
-        from scipy.interpolate import PchipInterpolator
         lr = np.log(r)
-        self._V = PchipInterpolator(lr, np.log(V))
-        self._M = PchipInterpolator(lr, np.log(M))
-        self._K = PchipInterpolator(lr, np.log(K))
+        self._lr = lr
+        self._inv_step = (len(r) - 1) / (lr[-1] - lr[0])
+        self._knots = lr.tolist()          # the scalar path's copies, in Python floats
+        self._ends = float(r[0]), float(r[-1])
+        # the range check allows a relative 1e-12 at both ends, and a lookup
+        # there takes the end's value
+        self._range = float(r[0] * (1 - 1e-12)), float(r[-1] * (1 + 1e-12))
+        self._pieces = {}
+        for what, vals in (("V", V), ("M", M), ("K", K)):
+            c = _pchip_pieces(lr, np.log(vals))
+            self._pieces[what] = c, list(zip(*c.tolist()))    # per piece: c0..c3
         # low-end power behavior, for explicit extension of M below the grid
         k = max(2, len(r) // 16)
         self._M_slope = (np.log(M[k]) - np.log(M[0])) / (lr[k] - lr[0])
 
-    def _eval(self, interp, r, what: str):
+    def _refuse(self, what: str):
+        raise ValueError(f"{what}: radius outside tabulated range "
+                         f"[{self.r[0]:.3e}, {self.r[-1]:.3e}]")
+
+    def _eval(self, what: str, r):
+        if isinstance(r, float):
+            return self._eval_float(what, r)
         arr = np.asarray(r, dtype=float)
         if not (arr > 0).all():         # NaN fails too
             raise ValueError(f"{what} requires positive radii")
-        if not ((arr >= self.r[0] * (1 - 1e-12)) & (arr <= self.r[-1] * (1 + 1e-12))).all():
-            raise ValueError(f"{what}: radius outside tabulated range "
-                             f"[{self.r[0]:.3e}, {self.r[-1]:.3e}]")
-        # onto the grid's ends: the range check above allows a relative 1e-12
-        out = np.exp(interp(np.log(np.minimum(np.maximum(arr, self.r[0]), self.r[-1]))))
+        if not ((arr >= self._range[0]) & (arr <= self._range[1])).all():
+            self._refuse(what)
+        v = np.log(np.minimum(np.maximum(arr, self._ends[0]), self._ends[1]))
+        i = self._piece(v)
+        c = self._pieces[what][0].take(i, axis=1)
+        s = v - self._lr.take(i)
+        ss = s * s
+        out = np.exp(((c[3] + c[2] * s) + c[1] * ss) + c[0] * (ss * s))
         return out if out.ndim else float(out)
+
+    def _piece(self, v):
+        """Index i of the piece with x_i <= v < x_(i+1), the last piece closed, as PPoly's.
+
+        ``build_table``'s knots are equispaced in log r, so i is guessed from
+        the spacing and corrected by one; where that misses (uneven knots)
+        a binary search, which costs about ten times more on unsorted radii.
+        """
+        lr, last = self._lr, len(self._lr) - 2
+        i = np.clip(((v - lr[0]) * self._inv_step).astype(np.intp), 0, last)
+        i = np.clip(i - (v < lr[i]) + (v >= lr[i + 1]), 0, last)
+        miss = (v < lr[i]) | ((v >= lr[i + 1]) & (i < last))
+        if miss.any():
+            i = np.where(miss, np.clip(np.searchsorted(lr, v, side="right") - 1, 0, last), i)
+        return i
+
+    def _eval_float(self, what: str, r: float) -> float:
+        """:meth:`_eval` of one radius, step for step in Python floats."""
+        if not r > 0:
+            raise ValueError(f"{what} requires positive radii")
+        if not self._range[0] <= r <= self._range[1]:
+            self._refuse(what)
+        x = self._knots
+        v = float(np.log(min(max(r, self._ends[0]), self._ends[1])))
+        i = min(max(bisect_right(x, v) - 1, 0), len(x) - 2)
+        c0, c1, c2, c3 = self._pieces[what][1][i]
+        s = v - x[i]
+        ss = s * s
+        return float(np.exp(((c3 + c2 * s) + c1 * ss) + c0 * (ss * s)))
 
     def V_at(self, r):
         """V at positive radii in the tabulated range."""
-        return self._eval(self._V, r, "V")
+        return self._eval("V", r)
 
     def M_at(self, r):
         """M at positive radii up to the top of the grid; below r[0], the power law."""
+        if isinstance(r, float):
+            if 0 < r < self._ends[0]:       # numpy scalar power, as for a 0-d array
+                return float(self.M[0] * (r / self._ends[0]) ** self._M_slope)
+            return self._eval_float("M", r)
         arr = np.asarray(r, dtype=float)
         if not (arr < self.r[0]).any():         # nothing below the grid
-            return self._eval(self._M, arr, "M")
+            return self._eval("M", arr)
         below = (arr > 0) & (arr < self.r[0])
-        inner = self._eval(self._M, np.where(below, self.r[0], arr), "M")
+        inner = self._eval("M", np.where(below, self.r[0], arr))
         out = np.where(below, self.M[0] * (arr / self.r[0]) ** self._M_slope, inner)
         return out if out.ndim else float(out)
 
     def K_at(self, r):
         """K at positive radii in the tabulated range."""
-        return self._eval(self._K, r, "K")
+        return self._eval("K", r)
 
 
 def build_table(model: LevyModel, diam: float = 1.0,
@@ -434,8 +554,14 @@ def check_table_invariants(table: KernelTable) -> dict:
     grid pair when there are at most 400 000 of them, otherwise a sample of
     200 000 pairs drawn with seed 0.
     The table's h, K and dK at its first, middle and last radius must also
-    match the QUADPACK oracle to a relative 1e-8; for a ``stable`` table,
-    scaled from r = 1, the two ends, eight decades apart, check the scaling.
+    match independent values to a relative 1e-8.  For a ``stable`` table
+    these are the closed forms (:func:`_closed_forms`) h = h_constant
+    r^-alpha, K = kernel_at_one r^(alpha-1) and dK = (alpha-1)
+    kernel_at_one r^(alpha-2), which also check the scaling from r = 1 at
+    the two ends, eight decades apart, and one QUADPACK value, h at the
+    middle radius, so that every table's check runs the per-point routines
+    that tables fall back to.  Any other table takes the QUADPACK oracles at
+    all nine points, its only independent check.
     Returns a report dict with one boolean per invariant plus the empirical
     constants the theory leaves unquantified and the quadrature diagnostics:
     the oracle difference, the largest estimated relative error of the
@@ -485,8 +611,13 @@ def check_table_invariants(table: KernelTable) -> dict:
         and np.all(h <= C_PSI_BRACKET * psi_vals * (1 + _REL_SLACK)))
 
     idx = [0, n // 2, n - 1]
-    oracle = np.array([[fn(table.model, float(r[i])) for i in idx] for fn in _ORACLES])
     got = np.array([h[idx], K[idx], dK[idx]])
+    oracle = _closed_forms(table.model, r[idx])
+    if oracle is None:
+        oracle = np.array([[fn(table.model, float(r[i])) for i in idx] for fn in _ORACLES])
+    else:       # and QUADPACK's h at the middle radius
+        got = np.append(got, h[n // 2])
+        oracle = np.append(oracle, _ORACLES[0](table.model, float(r[n // 2])))
     rep["quadrature_oracle_rel_diff"] = float(np.max(np.abs(got - oracle) / np.abs(oracle)))
     rep["quadrature_oracle_agrees"] = bool(rep["quadrature_oracle_rel_diff"] <= _ORACLE_REL)
     kept = table.err <= _TOL
@@ -504,8 +635,9 @@ def check_K_subadditivity_exact(table: KernelTable, n_cross: int = 512) -> bool:
     on a sample of grid pairs drawn with seed 0.  Every off-grid kernel value
     is computed, not looked up in the table: by the batched evaluator of
     ``build_table``, with its oracle fallback, and at every 64th of those
-    radii the QUADPACK oracle must agree to a relative 1e-9, the slack of
-    both inequalities.
+    radii the closed form (:func:`_closed_forms`) of a ``stable`` table, or
+    the QUADPACK oracle of any other, must agree to a relative 1e-9, the
+    slack of both inequalities.
     """
     r, K = table.r, table.K
     rng = np.random.default_rng(0)
@@ -513,8 +645,10 @@ def check_K_subadditivity_exact(table: KernelTable, n_cross: int = 512) -> bool:
     j = rng.integers(0, len(r), n_cross)
     x = np.concatenate([2.0 * r, r[i] + r[j]])
     Kx = _kernel_values(table.model, x)[0][1]
-    spot = Kx[::_SPOT_STRIDE]
-    oracle = np.array([compute_K(table.model, float(t)) for t in x[::_SPOT_STRIDE]])
+    spot, at = Kx[::_SPOT_STRIDE], x[::_SPOT_STRIDE]
+    closed = _closed_forms(table.model, at)
+    oracle = closed[1] if closed is not None else np.array([compute_K(table.model, float(t))
+                                                            for t in at])
     if not np.all(np.abs(spot - oracle) <= _REL_SLACK * oracle):
         return False
     K2, Ks = Kx[:len(r)], Kx[len(r):]

@@ -282,10 +282,10 @@ def test_only_the_unit_frequency_integrator_runs_qawf():
     assert callers == ["kernels._unit_frequency"]
 
 
-# scipy modules that only the kernel tables, the Green solves and the
-# quadrature oracles need, and orjson, which only the CSV writers need; each
-# is imported inside the function that uses it, and no levygreen module needs
-# scipy.special
+# scipy modules that only the Green solves and the quadrature oracles need,
+# and orjson, which only the CSV writers need; each is imported inside the
+# function that uses it; no levygreen module needs scipy.interpolate, and
+# scipy.optimize and scipy.special come only with scipy.integrate
 HEAVY = ["scipy.integrate", "scipy.interpolate", "scipy.linalg", "scipy.optimize", "scipy.special",
          "orjson"]
 COLD_START = """
@@ -293,7 +293,8 @@ import json, sys
 loaded = lambda: [m for m in sys.argv[1:] if m in sys.modules]
 import levygreen, levygreen.cli
 seen = {"import": loaded(), "scipy after mc": None}
-for name in ("mc-walk-on-spheres", "mc-euler", "mc-mixture", "perturb"):
+for name in ("mc-walk-on-spheres", "mc-euler", "mc-mixture", "perturb", "kato-sin", "kato-power",
+             "kernels"):
     code = levygreen.cli.main([name.split("-")[0], "--config", name + ".json", "--out", name])
     seen[name] = loaded() if code == 0 else code
     if name == "mc-mixture":
@@ -306,14 +307,16 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
     # a fresh interpreter, since the test modules import scipy.integrate themselves
     base = {"model": {"family": "stable", "alpha": 1.5},
             "domain": {"intervals": [[-1.0, -0.2], [0.2, 1.0]]}, "source": 0.5,
-            "grid": {"nodes_per_component": 24},
+            "grid": {"nodes_per_component": 24, "points_per_decade": 8},
             "mc": {"paths": 200, "dt": 0.01, "seed": 0, "bin_width": 0.1}}
     mixture = {"family": "stable-mixture", "alphas": [1.2, 1.8], "weights": [1.0, 0.5]}
     drift = {"family": "constant", "value": 1.0}
     for name, patch in (("mc-walk-on-spheres", {"drift": {"family": "zero"}}),
                         ("mc-euler", {"drift": drift}),
                         ("mc-mixture", {"drift": drift, "model": mixture}),
-                        ("perturb", {"drift": drift})):
+                        ("perturb", {"drift": drift}), ("kernels", {}),
+                        ("kato-sin", {"drift": {"family": "sin"}}),
+                        ("kato-power", {"drift": {"family": "power", "beta": 0.3}})):
         (tmp_path / f"{name}.json").write_text(json.dumps(dict(base, **patch)))
     path = [str(Path(levygreen.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -321,9 +324,14 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
+    # a stable table is built and looked up without scipy; the QUADPACK
+    # windows at a power drift's pole load scipy.integrate, and no command
+    # loads scipy.interpolate
+    quadpack = ["scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special", "orjson"]
     assert seen == {"import": [], "scipy after mc": [], "mc-walk-on-spheres": ["orjson"],
                     "mc-euler": ["orjson"], "mc-mixture": ["orjson"],
-                    "perturb": ["scipy.linalg", "orjson"]}
+                    "perturb": ["scipy.linalg", "orjson"], "kato-sin": ["scipy.linalg", "orjson"],
+                    "kato-power": quadpack, "kernels": quadpack}
     for name, engine in (("mc-walk-on-spheres", "walk-on-spheres"), ("mc-euler", "euler"),
                          ("mc-mixture", "euler")):
         assert json.loads((tmp_path / name / "mc_estimates.json").read_text())["engine"] == engine

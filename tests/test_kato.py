@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from levygreen import cli, kato, stable
+from levygreen import cli, kato, kernels, stable
 
 ALPHA = 1.5
 A = stable.h_constant(ALPHA)
@@ -128,3 +128,14 @@ def test_certificate_serialization(tmp_path, table15):
     d = json.loads(path.read_text())
     assert d["passed"] is True
     assert len(d["radii"]) == len(d["moduli"])
+
+
+def test_scalar_lookups_leave_the_moduli_bit_for_bit(table15, monkeypatch):
+    # the QUADPACK windows at a pole look M up one Python float at a time;
+    # criterion 9's drifts certify the same with every lookup an array's
+    drifts = (kato.power_drift(0.4), kato.power_drift(0.6), kato.constant_drift(1.0),
+              kato.constant_drift(5.0), kato.sin_drift(1.0, 5.0), kato.sin_drift(2.0, 11.0))
+    scalar = [kato.is_kato(b, table15).moduli for b in drifts]
+    M_at = kernels.KernelTable.M_at
+    monkeypatch.setattr(kernels.KernelTable, "M_at", lambda self, r: M_at(self, np.asarray(r)))
+    assert [kato.is_kato(b, table15).moduli for b in drifts] == scalar

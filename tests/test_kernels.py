@@ -166,6 +166,39 @@ def test_table_invariants_catch_a_value_off_the_oracle(table15):
     assert rep["quadrature_oracle_rel_diff"] == pytest.approx(1e-6, rel=1e-3)
 
 
+@pytest.mark.parametrize("alpha", [1.15, 1.5, 1.9])
+def test_stable_table_is_checked_against_its_closed_forms(alpha):
+    table = kernels.build_table(models.stable_model(alpha), diam=2.0, points_per_decade=32)
+    rep = kernels.check_table_invariants(table)
+    assert rep["all_pass"] and rep["quadrature_oracle_rel_diff"] <= 1e-13
+
+
+def test_quadpack_checks_a_stable_table_at_one_point(monkeypatch):
+    # the closed forms check a stable table, QUADPACK only its h at the
+    # middle radius; a mixture takes QUADPACK at all nine points and at each
+    # spot of the exact subadditivity check
+    stable_table = kernels.build_table(models.stable_model(ALPHA), diam=1.0, points_per_decade=8)
+    mixture = kernels.build_table(_SPLIT_MODELS["mixture"](), diam=1.0, points_per_decade=8)
+    calls = []
+
+    def recorded(fn):
+        def oracle(model, x):
+            calls.append((model.family, fn.__name__))
+            return fn(model, x)
+        return oracle
+
+    monkeypatch.setattr(kernels, "_ORACLES", tuple(map(recorded, kernels._ORACLES)))
+    monkeypatch.setattr(kernels, "compute_K", recorded(kernels.compute_K))
+    assert kernels.check_table_invariants(stable_table)["all_pass"]
+    assert kernels.check_K_subadditivity_exact(stable_table, n_cross=64)
+    assert calls == [("stable", "compute_h")]
+    calls.clear()
+    assert kernels.check_table_invariants(mixture)["all_pass"]
+    assert kernels.check_K_subadditivity_exact(mixture, n_cross=64)
+    assert calls == [("stable-mixture", name) for name in
+                     ["compute_h"] * 3 + ["compute_K"] * 3 + ["compute_dK"] * 3 + ["compute_K"] * 2]
+
+
 @pytest.mark.parametrize("alpha", [1.15, 1.2, 1.5, 1.8, 1.9])
 def test_batched_stable_table_matches_closed_forms(alpha):
     # a stable table scales its r = 1 values, so the batched evaluator is
@@ -297,18 +330,64 @@ def test_building_a_table_raises_no_floating_point_warning(name):
 
 
 def test_scalar_lookups_equal_the_array_elements(table15):
+    # a Python float takes the scalar path, an array the vectorized one; in
+    # the grid they are the same interpolation, bit for bit
     t = table15
-    x = np.concatenate([t.r[[0, -1]], [t.r[0] * (1 - 1e-13), t.r[-1] * (1 + 1e-13)],
-                        np.geomspace(t.r[0], t.r[-1], 41)[1:-1], [0.3, 1.7]])
+    rng = np.random.default_rng(0)
+    x = np.concatenate([t.r, t.r[[0, -1]] * (1 + 1e-12), t.r[[0, -1]] * (1 - 1e-12),
+                        np.exp(rng.uniform(np.log(t.r[0]), np.log(t.r[-1]), 1000)), [0.3, 1.7]])
     for lookup in (t.V_at, t.M_at, t.K_at):
-        got = lookup(x)
-        one = [lookup(float(v)) for v in x]
+        inside = x if lookup is not t.M_at else x[x >= t.r[0]]
+        got = lookup(inside)
+        one = [lookup(float(v)) for v in inside]
         assert all(type(v) is float for v in one)
         assert np.array(one).tobytes() == got.tobytes()
+        assert lookup(inside[0]) == one[0] and type(lookup(inside[0])) is float   # np.float64
+    # below the grid M is the power law, which a float or a 0-d array takes by
+    # numpy's scalar power and an array by its vector loop: the powers agree
+    # to one unit in the last place, their products with M[0] to two
+    below = np.concatenate([t.r[0] * np.geomspace(1e-12, 1.0, 400, endpoint=False),
+                            [t.r[0] * (1 - 1e-12)]])
+    one = np.array([t.M_at(float(v)) for v in below])
+    assert one.tobytes() == np.array([t.M_at(np.asarray(v)) for v in below]).tobytes()
+    got = t.M_at(below)
+    assert np.all(np.abs(one - got) <= 2.0 * np.spacing(got))
     # M below and inside the grid in one vector
     mixed = np.array([1e-3 * t.r[0], 0.3, t.r[0], 0.5 * t.r[0], t.r[-1], 1e-12])
     got = t.M_at(mixed)
     assert np.array([t.M_at(float(v)) for v in mixed]).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("knots", ["stable", "mixture", "uneven"])
+def test_table_pieces_are_scipys_pchip(knots, table15):
+    # the table computes and sums its monotone cubics itself, as scipy's
+    # PchipInterpolator and PPoly do; uneven knots take the binary search
+    from scipy.interpolate import PchipInterpolator
+    t = table15
+    if knots == "mixture":
+        t = kernels.build_table(_SPLIT_MODELS["mixture"](), diam=1.0, points_per_decade=16)
+    elif knots == "uneven":
+        keep = np.unique(np.concatenate([[0, len(t.r) - 1], np.random.default_rng(2).integers(
+            0, len(t.r), 60)]))
+        t = kernels.KernelTable(t.model, *(a[keep] for a in (t.r, t.h, t.V, t.M, t.K, t.dK)),
+                                t.diam, t.err[:, keep])
+    lr = np.log(t.r)
+    x = np.exp(np.random.default_rng(1).uniform(lr[0], lr[-1], 2000))
+    for vals, lookup in ((t.V, t.V_at), (t.M, t.M_at), (t.K, t.K_at)):
+        pchip = PchipInterpolator(lr, np.log(vals))
+        assert kernels._pchip_pieces(lr, np.log(vals)).tobytes() == pchip.c.tobytes()
+        assert lookup(x).tobytes() == np.exp(pchip(np.log(x))).tobytes()
+        assert lookup(t.r).tobytes() == np.exp(pchip(lr)).tobytes()
+
+
+def test_pchip_pieces_are_scipys_on_any_data():
+    # flat runs, sign changes and both shape-keeping cases at the ends
+    from scipy.interpolate import PchipInterpolator
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        x = np.sort(rng.uniform(0.0, 10.0, 12))
+        y = rng.integers(-3, 4, 12).astype(float)
+        assert kernels._pchip_pieces(x, y).tobytes() == PchipInterpolator(x, y).c.tobytes()
 
 
 def test_lookups_refuse_radii_outside_the_grid(table15):
