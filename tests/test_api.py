@@ -57,6 +57,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # exact, so an entry that is reached, set or read again fails its test
 UNREACHED_BUT_KEPT = {
     "green_envelope": "the paper's two-sided Green estimate shape",
+    "mean_exit_time_generator": "the closed-form oracle of the degree-0 jump integrals",
 }
 
 
@@ -293,8 +294,8 @@ import json, sys
 loaded = lambda: [m for m in sys.argv[1:] if m in sys.modules]
 import levygreen, levygreen.cli
 seen = {"import": loaded(), "scipy after mc": None}
-for name in ("mc-walk-on-spheres", "mc-euler", "mc-mixture", "perturb", "kato-sin", "kato-power",
-             "kernels"):
+for name in ("mc-walk-on-spheres", "mc-euler", "mc-power", "mc-mixture", "perturb", "kato-sin",
+             "kato-power", "kernels"):
     code = levygreen.cli.main([name.split("-")[0], "--config", name + ".json", "--out", name])
     seen[name] = loaded() if code == 0 else code
     if name == "mc-mixture":
@@ -311,8 +312,9 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
             "mc": {"paths": 200, "dt": 0.01, "seed": 0, "bin_width": 0.1}}
     mixture = {"family": "stable-mixture", "alphas": [1.2, 1.8], "weights": [1.0, 0.5]}
     drift = {"family": "constant", "value": 1.0}
+    power = {"family": "power", "beta": 0.3, "center": 0.6}
     for name, patch in (("mc-walk-on-spheres", {"drift": {"family": "zero"}}),
-                        ("mc-euler", {"drift": drift}),
+                        ("mc-euler", {"drift": drift}), ("mc-power", {"drift": power}),
                         ("mc-mixture", {"drift": drift, "model": mixture}),
                         ("perturb", {"drift": drift}), ("kernels", {}),
                         ("kato-sin", {"drift": {"family": "sin"}}),
@@ -324,14 +326,18 @@ def test_cold_start_loads_only_what_the_command_runs(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    # a stable table is built and looked up without scipy; the QUADPACK
-    # windows at a power drift's pole load scipy.integrate, and no command
-    # loads scipy.interpolate
+    # mc loads no scipy module, with a drift too: the Dynkin fit of a
+    # constant and of a power drift takes its Gauss-Jacobi rules and least
+    # squares from numpy; a stable table is built and looked up without
+    # scipy; the QUADPACK windows at a power drift's pole load
+    # scipy.integrate, and no command loads scipy.interpolate
     quadpack = ["scipy.integrate", "scipy.linalg", "scipy.optimize", "scipy.special", "orjson"]
     assert seen == {"import": [], "scipy after mc": [], "mc-walk-on-spheres": ["orjson"],
-                    "mc-euler": ["orjson"], "mc-mixture": ["orjson"],
+                    "mc-euler": ["orjson"], "mc-power": ["orjson"], "mc-mixture": ["orjson"],
                     "perturb": ["scipy.linalg", "orjson"], "kato-sin": ["scipy.linalg", "orjson"],
                     "kato-power": quadpack, "kernels": quadpack}
     for name, engine in (("mc-walk-on-spheres", "walk-on-spheres"), ("mc-euler", "euler"),
-                         ("mc-mixture", "euler")):
+                         ("mc-power", "euler"), ("mc-mixture", "euler")):
         assert json.loads((tmp_path / name / "mc_estimates.json").read_text())["engine"] == engine
+    for name in ("mc-euler", "mc-power"):       # scored by the fitted Dynkin function
+        assert json.loads((tmp_path / name / "mc_estimates.json").read_text())["dynkin"]
