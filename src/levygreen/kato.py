@@ -9,11 +9,13 @@ Every bounded drift passes; a power pole |z - z0|^(-beta) passes exactly
 when beta stays below the kernel exponent (power counting at the pole).
 The supremum is taken over a translate grid that always includes the
 declared singular points, where spiky drifts attain it.  A drift from a
-user function is ``DriftField(func, label=...)``.  ``scipy.integrate`` loads
-with the first QUADPACK window at a declared pole, whose callbacks take
-scalar ``KernelTable.M_at`` lookups at a few microseconds each; a drift
-without singular points, such as a constant or sin drift, is certified by
-the vectorized sweep alone and never loads it.
+user function is ``DriftField(func, label=...)``; ``func`` must accept both
+arrays, which the vectorized sweep passes, and one Python float, which
+each QUADPACK callback at a declared pole passes.  ``scipy.integrate``
+loads with the first QUADPACK window at a declared pole, whose callbacks
+take scalar ``KernelTable.M_at`` lookups at a few microseconds each; a
+drift without singular points, such as a constant or sin drift, is
+certified by the vectorized sweep alone and never loads it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,12 @@ _TRANSLATES = 128       # equispaced translates of each modulus's supremum
 
 @dataclass(frozen=True)
 class DriftField:
-    """Scalar drift with declared singularities (where the sup must be probed)."""
+    """Scalar drift with declared singularities (where the sup must be probed).
+
+    ``func`` takes an array of points and returns the drift at each; inside
+    the QUADPACK windows at the declared points (:func:`kato_modulus`) it
+    takes one Python float and returns a number.
+    """
 
     func: Callable
     family: str = "custom"            # constant | bounded-smooth | power-singularity | custom
@@ -86,11 +93,21 @@ def sin_drift(amplitude: float = 1.0, frequency: float = 5.0) -> DriftField:
 
 
 def power_drift(beta: float, center: float = 0.0, strength: float = 1.0) -> DriftField:
-    """Drift with an integrable-or-not power pole |z - center|^(-beta)."""
+    """Drift with an integrable-or-not power pole |z - center|^(-beta).
+
+    A Python float off the pole takes ``np.power`` on the float, which
+    rounds as the array power does (Python's ``**`` differs in the last
+    bit on about 5 % of points); the pole itself and NaN take the array
+    path and give NaN.
+    """
     if beta <= 0:
         raise ValueError("power drift needs a positive exponent")
 
     def f(z):
+        if isinstance(z, float):
+            d = abs(z - center)
+            if d > 0:
+                return strength * np.power(d, -beta)
         d = np.abs(np.asarray(z, dtype=float) - center)
         return strength * np.where(d > 0, d, np.nan) ** (-beta)
 
@@ -142,8 +159,7 @@ def _window_integral(b: DriftField, table: KernelTable, x: float, r: float) -> f
         length = hi - lo
 
         def f(z):
-            return float(table.M_at(abs(z - x))
-                         * np.abs(b.func(np.asarray(z, dtype=float))))
+            return float(table.M_at(abs(z - x)) * abs(b.func(z)))
 
         lo_sing = lo == x or lo in b.singular_points
         hi_sing = hi == x or hi in b.singular_points

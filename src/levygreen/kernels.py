@@ -15,7 +15,10 @@ likewise, with a sine tail).  ``compute_h``, ``compute_K`` and
 ``compute_dK`` evaluate one point with QUADPACK and are the oracle; K and
 dK take their split from ``_unit_frequency``, whose one QAWF call
 (oscillatory extrapolation) targets 1e-12 of the rest of the integral, so
-the target stays relative at every x.
+the target stays relative at every x.  Their callbacks run on Python
+floats: the model's psi and nu take a float (see ``models``) and the sine
+heads take ``math.sin``, which equals ``np.sin`` on a float, so no
+callback builds an array.
 
 A table caches all five kernels on a geometric radius grid and interpolates
 monotonically in log-log coordinates.  The batched evaluator takes h, K and
@@ -48,6 +51,7 @@ target is built and looked up without any scipy module.
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_right
 
@@ -128,11 +132,11 @@ def _unit_frequency(g, kind: str):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         if kind == "cos":
-            head, err = _dyadic_head(lambda u: 2.0 * np.sin(0.5 * u) ** 2 * g(u), 10.0)
+            head, err = _dyadic_head(lambda u: 2.0 * math.sin(0.5 * u) ** 2 * g(u), 10.0)
             flat, e = _quad(lambda t: 10.0 / (t * t) * g(10.0 / t), 0.0, 1.0)
             head, err = head + flat, err + e
         else:
-            head, err = _dyadic_head(lambda u: np.sin(u) * g(u), 10.0)
+            head, err = _dyadic_head(lambda u: math.sin(u) * g(u), 10.0)
         osc, e = integrate.quad(g, 10.0, np.inf, weight=kind, wvar=1.0, limit=400,
                                 epsabs=1e-12 * abs(head))
     return head + (osc if kind == "sin" else -osc), err + e, osc

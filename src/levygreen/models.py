@@ -14,6 +14,13 @@ check.  Every CLI command that builds a kernel table calls it first
 
 Every family has a closed-form symbol, so this module integrates nothing
 and imports no scipy module; the kernel quadratures live in ``kernels``.
+Their QUADPACK callbacks evaluate psi and nu at one Python float, which
+both answer in float arithmetic with the bits of a 0-d array: psi by
+Python's ``**``, the C library's power, as the 0-d path's ``np.float64``
+power is; nu by ``np.power`` on the float (a mixture's in one call over
+its exponents), as the 0-d path's array power (Python's ``**`` differs
+from it in the last bit on about 5 % of radii).
+A float whose symbol overflows Python's power takes the array path.
 """
 
 from __future__ import annotations
@@ -59,9 +66,16 @@ def stable_model(alpha: float) -> LevyModel:
     c = stable.levy_density_constant(alpha)
 
     def psi(xi):
+        if isinstance(xi, float):
+            try:
+                return abs(xi) ** alpha
+            except OverflowError:
+                pass
         return np.abs(np.asarray(xi, dtype=float)) ** alpha
 
     def nu(r):
+        if isinstance(r, float):
+            return c * np.power(r, -1.0 - alpha)
         return c * np.asarray(r, dtype=float) ** (-1.0 - alpha)
 
     return LevyModel("stable", psi, nu, alpha=alpha, params=(("alpha", alpha),))
@@ -78,12 +92,27 @@ def stable_mixture_model(alphas, weights) -> LevyModel:
     if any(w <= 0 for w in weights):
         raise ValueError("mixture weights must be positive")
     consts = [w * _density_constant_any(a) for a, w in zip(alphas, weights)]
+    exponents = np.array([-1.0 - a for a in alphas])
 
     def psi(xi):
+        if isinstance(xi, float):
+            x, total = abs(xi), 0.0
+            try:
+                for a, w in zip(alphas, weights):
+                    total += w * x ** a
+                return total
+            except OverflowError:
+                pass
         xi = np.abs(np.asarray(xi, dtype=float))
         return sum(w * xi ** a for a, w in zip(alphas, weights))
 
     def nu(r):
+        if isinstance(r, float):
+            # one ufunc call over the exponents rounds each power as a 0-d array's
+            total = 0.0
+            for c, p in zip(consts, np.power(r, exponents).tolist()):
+                total += c * p
+            return total
         r = np.asarray(r, dtype=float)
         return sum(c * r ** (-1.0 - a) for a, c in zip(alphas, consts))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -139,3 +140,46 @@ def test_scalar_lookups_leave_the_moduli_bit_for_bit(table15, monkeypatch):
     M_at = kernels.KernelTable.M_at
     monkeypatch.setattr(kernels.KernelTable, "M_at", lambda self, r: M_at(self, np.asarray(r)))
     assert [kato.is_kato(b, table15).moduli for b in drifts] == scalar
+
+
+def _zero_d(b):
+    # the drift evaluated on 0-d arrays, the reference of its float path
+    return dataclasses.replace(b, func=lambda z, f=b.func: f(np.asarray(z, dtype=float)))
+
+
+def test_power_drift_float_path_has_the_0d_bits():
+    rng = np.random.default_rng(5)
+    for b in (kato.power_drift(0.4), kato.power_drift(0.3, center=0.3, strength=0.6)):
+        c = b.singular_points[0]
+        z = np.concatenate([rng.uniform(-3.0, 3.0, 10_000), c + np.geomspace(1e-12, 1.0, 500),
+                            [c, np.inf, -np.inf]]).tolist()
+        with np.errstate(all="ignore"):
+            got = [b.func(v) for v in z]
+            want = np.array([b.func(np.asarray(v)) for v in z])
+        assert {type(v) for v in got} <= {float, np.float64}
+        assert np.isnan(got[-3]) and got[-2] == got[-1] == 0.0
+        assert np.array(got).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_float_drifts_leave_the_moduli_bit_for_bit(table15):
+    # the pole windows hand the drift Python floats; power drifts answer in
+    # float arithmetic, a custom drift in whatever arithmetic it uses
+    drifts = (kato.power_drift(0.4), kato.power_drift(0.3, center=0.3),
+              kato.power_drift(0.45, center=-0.25, strength=0.6),
+              kato.DriftField(lambda z: np.tanh(np.asarray(z)), singular_points=(0.0,)))
+    moduli = [kato.is_kato(b, table15).moduli for b in drifts]
+    assert all(len(m) == 6 for m in moduli)
+    assert [kato.is_kato(_zero_d(b), table15).moduli for b in drifts] == moduli
+
+
+def test_pole_windows_call_the_drift_with_python_floats(table15):
+    # the vectorized sweep passes 2-d arrays, the QUADPACK windows one float
+    calls = []
+    p = kato.power_drift(0.4)
+
+    def spy(z):
+        calls.append(type(z) if type(z) is float else np.ndim(z))
+        return p.func(z)
+
+    kato.is_kato(kato.DriftField(spy, "custom", p.singular_points, "spy"), table15)
+    assert set(calls) == {float, 2} and calls.count(float) > 1000

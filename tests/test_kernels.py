@@ -1,4 +1,5 @@
 import re
+import types
 import warnings
 
 import numpy as np
@@ -327,6 +328,20 @@ def test_building_a_table_raises_no_floating_point_warning(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         kernels.build_table(_SPLIT_MODELS[name](), diam=1.0, points_per_decade=8)
+
+
+@pytest.mark.parametrize("model", [models.stable_model(1.5),
+                                   models.stable_mixture_model([1.3, 1.7], [1.0, 1.0])],
+                         ids=["stable", "mixture"])
+def test_float_callbacks_leave_the_oracles_bit_for_bit(model, monkeypatch):
+    # QUADPACK hands the integrands Python floats: psi, nu and the sine heads
+    # answer in float arithmetic with the bits of the 0-d arrays they replace
+    radii = (1e-5, 3e-3, 0.4, 7.0, 90.0)
+    got = [[fn(model, r).hex() for r in radii] for fn in kernels._ORACLES]
+    zero_d = models.LevyModel(model.family, lambda x: model.psi(np.asarray(x)),
+                              lambda r: model.nu(np.asarray(r)), model.alpha, model.params)
+    monkeypatch.setattr(kernels, "math", types.SimpleNamespace(sin=np.sin))
+    assert [[float(fn(zero_d, r)).hex() for r in radii] for fn in kernels._ORACLES] == got
 
 
 def test_scalar_lookups_equal_the_array_elements(table15):

@@ -42,6 +42,24 @@ def test_nu_normalization_by_quadrature():
     assert 2 * (head + flat - osc) == pytest.approx(1.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("model", [models.stable_model(1.15), models.stable_model(1.9),
+                                   models.stable_mixture_model([0.7, 1.9], [1.0, 0.5])],
+                         ids=["stable-1.15", "stable-1.9", "mixture-0.7-1.9"])
+@pytest.mark.parametrize("name", ["psi", "nu"])
+def test_float_path_has_the_0d_bits(model, name):
+    # QUADPACK calls psi and nu one Python float at a time; their float path
+    # must return exactly what a 0-d array returns, never an array.  1e300
+    # overflows Python's float power
+    fn = getattr(model, name)
+    x = np.concatenate([np.geomspace(1e-9, 1e6, 10_000),
+                        [0.0, -0.0, -1.0, np.inf, -np.inf, np.nan, 1e300]]).tolist()
+    with np.errstate(all="ignore"):
+        got = [fn(v) for v in x]
+        want = np.array([fn(np.asarray(v)) for v in x])
+    assert {type(v) for v in got} <= {float, np.float64}
+    assert np.array(got).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_scaling_stable_is_exact():
     rep = models.estimate_scaling(models.stable_model(1.5))
     assert rep.alpha_low == pytest.approx(1.5, abs=1e-6)
